@@ -169,6 +169,7 @@ def run_segment(
         losses = result.losses()
         segmentations = [result.backtrack(d) for d in range(1, dmax + 1)]
         table_bytes = int(result.table_numbers * 8)
+        cells_scanned = result.cells_scanned
         approx = False
         lowrank_doc = None
     elif algorithm == "lowrank-binseg":
@@ -180,6 +181,7 @@ def run_segment(
         losses = bres.losses
         segmentations = list(bres.segmentations)
         table_bytes = int(emb.Z.nbytes + emb.prefix_sum.nbytes + emb.prefix_sqnorm.nbytes)
+        cells_scanned = None
         approx = True
         lowrank_doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": rule,
                        "exhausted": bres.exhausted}
@@ -229,6 +231,7 @@ def run_segment(
         },
         "diagnostics": {
             "peak_table_bytes": table_bytes,
+            "dp_cells_scanned": cells_scanned,
             "lowrank": lowrank_doc,
         },
         "timing": {"wall_seconds": wall},

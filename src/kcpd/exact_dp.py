@@ -191,7 +191,7 @@ class DPResult:
     boundary indices on ties.
     """
 
-    def __init__(self, L, back, n, dmax, ell, table_numbers):
+    def __init__(self, L, back, n, dmax, ell, table_numbers, cells_scanned):
         self._L = L
         self._back = back
         self.n = n
@@ -199,6 +199,8 @@ class DPResult:
         self.ell = ell
         # persistent table allocation, in float64-equivalents (bytes / 8)
         self.table_numbers = table_numbers
+        # (row, start) candidates the minimisation evaluated
+        self.cells_scanned = cells_scanned
         self._L.setflags(write=False)
         if self._back is not None:
             self._back.setflags(write=False)
@@ -249,7 +251,12 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
 
     Runs the column recurrence and the dynamic-programming update in one
     sweep: O(dmax * n^2) time dominated by kernel evaluations, O(dmax * n)
-    memory. ``ell`` is the minimum number of points per segment.
+    memory. ``ell`` is the minimum number of points per segment. For a
+    kernel with ``psd`` set, the numpy minimiser drops candidate starts that
+    provably cannot win (SNIP pruning); the tables are bitwise those of the
+    dense minimisation either way.
+
+    Raises ValueError if the kernel yields non-finite segment costs.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
@@ -266,14 +273,21 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     # one scratch vector serves both the kernel column (consumed by the
     # compensated update) and, afterwards, the cost column
     buf = np.empty(n + 1)
-    # the chunked minimizer only engages once four-row blocks exist
-    cmins = _dp_core.chunk_minima_buffer(n) if dmax >= 5 else np.empty((1, 1))
+    # the compiled chunked minimizer only engages once four-row blocks exist
+    cmins = _dp_core.chunk_minima_buffer(n) if _dp_core.HAVE_JIT and dmax >= 5 else np.empty((1, 1))
+    prune = spec.psd and not _dp_core.HAVE_JIT
+    snip = _dp_core.Snip(n, float(diag.sum()), prune)
     column_fn = spec.prefix_column_fn(X)
 
     for e in range(1, n + 1):
         if e >= 2:
             column_fn(e - 1, buf)
-        _dp_core.column_step(L, back_arg, A, comp, diag, buf, cmins, e, ell, dmax)
+        _dp_core.column_step(L, back_arg, A, comp, diag, buf, cmins, e, ell, dmax, snip)
+        if not math.isfinite(L[0, e]):
+            raise ValueError(
+                f"{spec!r} gives a non-finite segment cost at column {e}: the kernel "
+                "overflows on this signal; rescale the data or choose another kernel"
+            )
 
     table_numbers = (
         L.nbytes
@@ -283,8 +297,9 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
         + diag.nbytes
         + buf.nbytes
         + cmins.nbytes
+        + (_dp_core.Snip.table_bytes(n, dmax) if prune else 0)
     ) / 8.0
-    return DPResult(L, back, n, dmax, ell, table_numbers)
+    return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)
 
 
 def _direct_cost_table(sig: Signal, spec: KernelSpec) -> np.ndarray:
@@ -330,11 +345,13 @@ def naive_dp(signal, spec: KernelSpec, dmax: int, max_n: int = NAIVE_DEFAULT_CAP
     L = np.full((dmax, n + 1), BIG)
     back = np.zeros((dmax, n + 1), dtype=np.int32) if dmax > 1 else None
     L[0, 1:] = C[0, 1:]
+    cells = 0
     for r in range(1, dmax):
         for e in range(r + 1, n + 1):
             cand = L[r - 1, r:e] + C[r:e, e]
             i = int(np.argmin(cand))
             L[r, e] = cand[i]
             back[r, e] = i + r
+            cells += cand.size
     table_numbers = (L.nbytes + (0 if back is None else back.nbytes) + C.nbytes) / 8.0
-    return DPResult(L, back, n, dmax, 1, table_numbers)
+    return DPResult(L, back, n, dmax, 1, table_numbers, cells)

@@ -101,7 +101,13 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
 
 
 class KernelSpec:
-    """A symmetric kernel k(x, y) on R^q, evaluable pointwise and in blocks."""
+    """A symmetric kernel k(x, y) on R^q, evaluable pointwise and in blocks.
+
+    ``psd`` is True only for kernels known to be positive semi-definite;
+    the exact segmenter prunes candidate change points only for those.
+    """
+
+    psd = False
 
     def pair(self, x, y) -> float:
         x = _point(x)
@@ -143,6 +149,8 @@ class KernelSpec:
 class LinearKernel(KernelSpec):
     """k(x, y) = <x, y>."""
 
+    psd = True
+
     def _pair(self, x, y):
         return x @ y
 
@@ -166,6 +174,7 @@ def _check_delta(delta: float) -> None:
 class GaussianKernel(KernelSpec):
     """k(x, y) = exp(-||x - y||^2 / delta)."""
 
+    psd = True
     delta: float = 1.0
 
     def __post_init__(self):
@@ -195,6 +204,7 @@ class GaussianKernel(KernelSpec):
 class LaplaceKernel(KernelSpec):
     """k(x, y) = exp(-||x - y|| / delta)."""
 
+    psd = True
     delta: float = 1.0
 
     def __post_init__(self):
@@ -229,9 +239,10 @@ class ExponentialKernel(KernelSpec):
     Note: this family is symmetric but not positive semi-definite; a Gram
     matrix on two distinct points already has a negative eigenvalue. It is
     shipped for completeness of the family list and is exercised by the
-    segmenters like any other kernel.
+    segmenters like any other kernel, without pruning.
     """
 
+    psd = False
     delta: float = 1.0
 
     def __post_init__(self):
@@ -264,6 +275,8 @@ class EnergyKernel(KernelSpec):
     dimension. The defaults a = 1, x0 = 0 give the kernel whose RKHS
     distance reproduces the classical energy distance between samples.
     """
+
+    psd = True
 
     alpha: float = 1.0
     x0: tuple[float, ...] | None = None
@@ -370,6 +383,10 @@ class SumKernel(KernelSpec):
     def per_coordinate(cls, specs: Sequence[KernelSpec]) -> "SumKernel":
         """One child per coordinate, in order."""
         return cls(tuple(((c,), s) for c, s in enumerate(specs)))
+
+    @property
+    def psd(self) -> bool:
+        return all(spec.psd for _, spec in self.children)
 
     def check_dim(self, q: int) -> None:
         top = max(i for idxs, _ in self.children for i in idxs)

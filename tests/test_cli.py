@@ -63,6 +63,15 @@ def test_infeasible_configuration_exit_code(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
+def test_overflowing_kernel_exit_code(tmp_path, capsys):
+    p = _write(tmp_path / "big.csv", "\n".join(["30.0", "-30.0"] * 50) + "\n")
+    rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "5"])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ExponentialKernel(delta=1.0) gives a non-finite segment cost")
+    assert "Traceback" not in err
+
+
 def test_segment_roundtrip_exact(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(0, 1, 60), rng.normal(6, 1, 60)])
@@ -81,6 +90,9 @@ def test_segment_roundtrip_exact(tmp_path, capsys):
     losses = [row["loss"] for row in doc["per_d"]]
     assert all(a >= b - 1e-9 for a, b in zip(losses, losses[1:]))
     assert not doc["selection"]["approximate_losses_warning"]
+    assert 0 < doc["diagnostics"]["dp_cells_scanned"] <= sum(
+        (min(e, 12) - 1) * (e - 1) for e in range(2, 121)
+    )
 
 
 def test_dmax_one_single_segment(tmp_path):
@@ -126,6 +138,7 @@ def test_lowrank_path_sets_warning_flag(tmp_path):
     doc = json.loads(open(out).read())
     assert doc["selection"]["approximate_losses_warning"]
     assert doc["diagnostics"]["lowrank"]["rank"] <= 12
+    assert doc["diagnostics"]["dp_cells_scanned"] is None
 
 
 def test_exact_path_warns_about_landmark_flags(tmp_path, capsys):

@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpd import (
     CostColumnState,
     EnergyKernel,
+    ExponentialKernel,
     GaussianKernel,
     LaplaceKernel,
     LinearKernel,
@@ -23,6 +27,7 @@ from kcpd import (
     naive_dp,
     segment_cost_direct,
 )
+from kcpd import _dp_core
 from kcpd._dp_core import HAVE_JIT
 
 from conftest import best_by_enumeration, direct_cost_matrix, random_signal
@@ -288,7 +293,8 @@ def test_naive_monotone(rng):
 
 
 def test_table_allocation_within_budget(rng):
-    for dmax, n in ((1, 30), (2, 40), (3, 25), (10, 120)):
+    # the last case prunes, so its candidate lists count at their cap
+    for dmax, n in ((1, 30), (2, 40), (3, 25), (10, 120), (20, 400)):
         sig = Signal(random_signal(rng, n))
         res = kernseg_exact(sig, GaussianKernel(1.0), dmax=dmax)
         assert res.table_numbers <= 2 * dmax * (n + 1) + 3 * (n + 1)
@@ -298,6 +304,163 @@ def test_result_arrays_read_only(rng):
     res = kernseg_exact(Signal(random_signal(rng, 20)), GaussianKernel(1.0), dmax=4)
     with pytest.raises(ValueError):
         res._L[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# pruning of the minimisation: bitwise the dense tables
+
+
+def _dense_twin(spec):
+    """The same kernel with pruning off: a subclass that is not marked PSD."""
+    return type("Dense" + type(spec).__name__, (type(spec),), {"psd": False})(
+        **{f: getattr(spec, f) for f in spec.__dataclass_fields__}
+    )
+
+
+def _full_cells(n, dmax, ell):
+    """(row, start) candidates of the dense minimisation over the sweep."""
+    total = 0
+    for e in range(ell, n + 1):
+        d_hi = min(e // ell, dmax)
+        width = e - 2 * ell + 1
+        if d_hi >= 2 and width > 0:
+            total += (d_hi - 1) * width
+    return total
+
+
+def _assert_same_tables(a, b):
+    assert np.array_equal(a._L, b._L)
+    assert a._back is None and b._back is None or np.array_equal(a._back, b._back)
+
+
+# Forced switches between the dense slab and the candidate lists: probe and
+# compact every few columns and switch to the lists at any survivor count;
+# "eager" then never falls back, "thrash" falls back at every compaction.
+SWITCHES = {
+    "builtin": {"_PERIOD": _dp_core._PERIOD, "_ENTER": _dp_core._ENTER, "_LEAVE": _dp_core._LEAVE},
+    "eager": {"_PERIOD": 3, "_ENTER": 1, "_LEAVE": 1},
+    "thrash": {"_PERIOD": 3, "_ENTER": 1, "_LEAVE": 10**9},
+}
+
+
+PSD_FAMILIES = [
+    LinearKernel(),
+    GaussianKernel(1.0),
+    LaplaceKernel(0.5),
+    EnergyKernel(1.0),
+    EnergyKernel(1.5, (0.3,)),
+    SumKernel.per_coordinate([GaussianKernel(2.0)]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    family=st.sampled_from(PSD_FAMILIES),
+    ell=st.integers(1, 3),
+    dmax_frac=st.floats(0.0, 1.0),
+    scale_exp=st.integers(-3, 3),
+    jumps=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-8.0, 8.0)), max_size=5),
+    rounded=st.booleans(),
+    switch=st.sampled_from(sorted(SWITCHES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_tables_equal_dense_bitwise(
+    n, family, ell, dmax_frac, scale_exp, jumps, rounded, switch, seed
+):
+    """Pruned and dense sweeps give the same L and back, bit for bit.
+
+    At n <= 60 the built-in switch rarely leaves the dense slab, so the
+    sweep also runs with forced switches (SWITCHES). Rounded data makes
+    exact ties, which the smallest start must win.
+    """
+    if n < ell:
+        return
+    dmax = 1 + int(dmax_frac * (n // ell - 1))
+    x = np.random.default_rng(seed).normal(size=n)
+    for where, size in jumps:
+        x[int(where * (n - 1)) :] += size
+    if rounded:
+        x = np.round(x)
+    sig = Signal(x * 10.0**scale_exp)
+    dense = kernseg_exact(sig, _dense_twin(family), dmax, ell)
+    with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
+        pruned = kernseg_exact(sig, family, dmax, ell)
+    _assert_same_tables(pruned, dense)
+    assert dense.cells_scanned == _full_cells(n, dmax, ell)
+    assert pruned.cells_scanned <= dense.cells_scanned
+
+
+@pytest.mark.parametrize("switch", ["eager", "thrash"])
+def test_forced_switches_keep_tables_bitwise(switch):
+    # longer floors than the property test: a start pruned at a probe or a
+    # check may still win for ell - 1 columns
+    rng = np.random.default_rng(31)
+    families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
+    for trial in range(100):
+        spec = families[trial % 4]
+        n = int(rng.integers(60, 160))
+        ell = int(rng.integers(2, 7))
+        dmax = min(int(rng.integers(3, 16)), n // ell)
+        x = rng.normal(size=n)
+        for _ in range(int(rng.integers(1, 8))):
+            x[int(rng.integers(1, n)) :] += rng.normal(0, 3)
+        if trial % 5 == 0:
+            x = np.round(x)
+        dense = kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell)
+        with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
+            pruned = kernseg_exact(Signal(x), spec, dmax, ell)
+        _assert_same_tables(pruned, dense)
+
+
+@pytest.mark.skipif(HAVE_JIT, reason="the compiled minimiser does not prune")
+@pytest.mark.parametrize("ell", [1, 5])
+def test_pruning_engages_on_mean_shifts(ell):
+    n, dmax = 2000, 50
+    rng = np.random.default_rng(2000 + ell)
+    x = rng.normal(size=n) + np.repeat(rng.uniform(-4, 4, 8), n // 8)
+    spec = GaussianKernel(1.0)
+    pruned = kernseg_exact(Signal(x), spec, dmax, ell)
+    dense = kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell)
+    _assert_same_tables(pruned, dense)
+    assert pruned.cells_scanned <= 0.25 * _full_cells(n, dmax, ell)
+
+
+@pytest.mark.skipif(HAVE_JIT, reason="the compiled minimiser does not prune")
+@pytest.mark.parametrize(
+    "spec, scale, offset",
+    [(GaussianKernel(1.0), 1e-7, 0.0), (LaplaceKernel(1.0), 1e-6, 0.0), (LinearKernel(), 1.0, 1e4)],
+)
+def test_pruning_is_exact_under_cancellation(spec, scale, offset):
+    # costs far below the sums they are computed from: the pruning margin
+    # must cover the rounding of those sums, not only a fraction of the loss
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=300) + np.repeat(rng.normal(0, 3, 6), 50)
+    sig = Signal(x * scale + offset)
+    dense = kernseg_exact(sig, _dense_twin(spec), 30)
+    with mock.patch.multiple(_dp_core, **SWITCHES["eager"]):
+        pruned = kernseg_exact(sig, spec, 30)
+    _assert_same_tables(pruned, dense)
+    assert pruned.cells_scanned < dense.cells_scanned
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ExponentialKernel(4.0), SumKernel.per_coordinate([GaussianKernel(1.0), ExponentialKernel(4.0)])],
+)
+def test_non_psd_kernels_scan_every_cell(spec):
+    assert not spec.psd
+    n, dmax = 400, 20
+    rng = np.random.default_rng(7)
+    x = np.repeat(rng.uniform(-2, 2, (8, 2)), n // 8, axis=0) + 0.1 * rng.normal(size=(n, 2))
+    res = kernseg_exact(Signal(x), spec, dmax)
+    assert res.cells_scanned == _full_cells(n, dmax, 1)
+
+
+def test_overflowing_kernel_raises():
+    x = np.tile([30.0, -30.0], 50)
+    with pytest.raises(ValueError, match=r"ExponentialKernel\(delta=1\.0\).*column 2\b"):
+        kernseg_exact(Signal(x), ExponentialKernel(1.0), dmax=5)
 
 
 # ---------------------------------------------------------------------------
