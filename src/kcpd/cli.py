@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .exact_dp import kernseg_exact
+from .exact_dp import kernseg_exact, kernseg_table_bytes
 from .kernels import (
     EnergyKernel,
     ExponentialKernel,
@@ -30,7 +30,7 @@ from .kernels import (
     SumKernel,
     mad_scale,
 )
-from .lowrank import binary_segmentation, nystrom_embed
+from .lowrank import binary_segmentation, embedding_table_bytes, nystrom_embed
 from .model_selection import PenaltySpec, SelectionResult, select, slope_heuristic
 from .simulate import FoldedPiece, NormalPiece, equally_spaced_changes, generate
 
@@ -180,7 +180,7 @@ def run_segment(
         bres = binary_segmentation(emb, dmax, ell)
         losses = bres.losses
         segmentations = list(bres.segmentations)
-        table_bytes = int(emb.Z.nbytes + emb.prefix_sum.nbytes + emb.prefix_sqnorm.nbytes)
+        table_bytes = embedding_table_bytes(signal.n, emb.rank)
         cells_scanned = None
         approx = True
         lowrank_doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": rule,
@@ -267,14 +267,15 @@ def run_bench(
     """
     if sorted(grid) != list(grid):
         raise InfeasibleError("benchmark grid must be sorted ascending")
-    # untimed warmup so one-time JIT compilation and cache effects stay out
-    # of the measured cells
+    spec = GaussianKernel(1.0)
+    # untimed warm-up so first-call and cache effects stay out of the
+    # measured cells
     warm = _bench_signal(256, seed)
     for algo in algorithms:
         if algo == "exact":
-            kernseg_exact(warm, GaussianKernel(1.0), min(dmax, 16), ell)
+            kernseg_exact(warm, spec, min(dmax, 16), ell)
         elif algo == "lowrank-binseg":
-            emb = nystrom_embed(warm, GaussianKernel(1.0), p=16, rule="grid")
+            emb = nystrom_embed(warm, spec, p=16, rule="grid")
             binary_segmentation(emb, min(dmax, 16), ell)
     rows = []
     for n in grid:
@@ -282,12 +283,12 @@ def run_bench(
         for algo in algorithms:
             d_eff = min(dmax, n)
             if algo == "exact":
-                est = d_eff * (n + 1) * 12 + 4 * (n + 1) * 8
+                est = kernseg_table_bytes(n, d_eff, spec.psd)
                 p_used = 0
             elif algo == "lowrank-binseg":
                 p_used = int(round(math.sqrt(n))) if p_rule == "sqrt" else p
                 p_used = min(p_used, n)
-                est = p_used * n * 8 * 2 + (n + 1) * 8
+                est = embedding_table_bytes(n, p_used)
             else:
                 raise InfeasibleError(f"unknown algorithm {algo!r}")
             if est > memory_budget_bytes:
@@ -295,15 +296,15 @@ def run_bench(
                 continue
             if algo == "exact":
                 t0 = time.perf_counter()
-                res = kernseg_exact(sig, GaussianKernel(1.0), d_eff, ell)
+                res = kernseg_exact(sig, spec, d_eff, ell)
                 seconds = time.perf_counter() - t0
                 bytes_used = int(res.table_numbers * 8)
             else:
                 t0 = time.perf_counter()
-                emb = nystrom_embed(sig, GaussianKernel(1.0), p=p_used, rule="grid")
+                emb = nystrom_embed(sig, spec, p=p_used, rule="grid")
                 binary_segmentation(emb, d_eff, ell)
                 seconds = time.perf_counter() - t0
-                bytes_used = int(emb.Z.nbytes + emb.prefix_sum.nbytes + emb.prefix_sqnorm.nbytes)
+                bytes_used = embedding_table_bytes(n, emb.rank)
             rows.append(
                 {"algorithm": algo, "n": n, "p": p_used, "seconds": seconds,
                  "peak_table_bytes": bytes_used}

@@ -133,7 +133,8 @@ class CostColumnState:
         A = np.zeros(n)
         comp = np.zeros(n)
         diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
-        A[0] = diag[0]
+        kcol = np.empty(n)
+        _dp_core.extend_column(A, comp, diag, kcol, 1)
         return cls(
             signal=sig,
             spec=spec,
@@ -142,7 +143,7 @@ class CostColumnState:
             comp=comp,
             diag=diag,
             _column_fn=spec.prefix_column_fn(sig.data),
-            _kcol=np.empty(n),
+            _kcol=kcol,
         )
 
     def advance(self) -> "CostColumnState":
@@ -155,9 +156,7 @@ class CostColumnState:
         if e >= self.signal.n:
             raise IndexError(f"state already at the last column (end={e})")
         self._column_fn(e, self._kcol)
-        _dp_core.kahan_update(self.A, self.comp, self._kcol, e)
-        self.A[e] = self.diag[e]
-        self.comp[e] = 0.0
+        _dp_core.extend_column(self.A, self.comp, self.diag, self._kcol, e + 1)
         self.end = e + 1
         return self
 
@@ -252,7 +251,7 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     Runs the column recurrence and the dynamic-programming update in one
     sweep: O(dmax * n^2) time dominated by kernel evaluations, O(dmax * n)
     memory. ``ell`` is the minimum number of points per segment. For a
-    kernel with ``psd`` set, the numpy minimiser drops candidate starts that
+    kernel with ``psd`` set, the minimiser drops candidate starts that
     provably cannot win (SNIP pruning); the tables are bitwise those of the
     dense minimisation either way.
 
@@ -266,40 +265,40 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
 
     L = np.full((dmax, n + 1), BIG)
     back = np.zeros((dmax, n + 1), dtype=np.int32) if dmax > 1 else None
-    back_arg = back if back is not None else np.zeros((1, 1), dtype=np.int32)
     A = np.zeros(n)
     comp = np.zeros(n)
     diag = np.ascontiguousarray(spec.diag(X), dtype=np.float64)
     # one scratch vector serves both the kernel column (consumed by the
     # compensated update) and, afterwards, the cost column
     buf = np.empty(n + 1)
-    # the compiled chunked minimizer only engages once four-row blocks exist
-    cmins = _dp_core.chunk_minima_buffer(n) if _dp_core.HAVE_JIT and dmax >= 5 else np.empty((1, 1))
-    prune = spec.psd and not _dp_core.HAVE_JIT
-    snip = _dp_core.Snip(n, float(diag.sum()), prune)
+    snip = _dp_core.Snip(n, float(diag.sum()), spec.psd)
     column_fn = spec.prefix_column_fn(X)
 
-    for e in range(1, n + 1):
-        if e >= 2:
-            column_fn(e - 1, buf)
-        _dp_core.column_step(L, back_arg, A, comp, diag, buf, cmins, e, ell, dmax, snip)
-        if not math.isfinite(L[0, e]):
-            raise ValueError(
-                f"{spec!r} gives a non-finite segment cost at column {e}: the kernel "
-                "overflows on this signal; rescale the data or choose another kernel"
-            )
+    # an overflowing kernel trips numpy warnings on its way to the
+    # non-finite cost that the guard below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(1, n + 1):
+            if e >= 2:
+                column_fn(e - 1, buf)
+            _dp_core.column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip)
+            if not math.isfinite(L[0, e]):
+                raise ValueError(
+                    f"{spec!r} gives a non-finite segment cost at column {e}: the kernel "
+                    "overflows on this signal; rescale the data or choose another kernel"
+                )
 
-    table_numbers = (
-        L.nbytes
-        + (0 if back is None else back.nbytes)
-        + A.nbytes
-        + comp.nbytes
-        + diag.nbytes
-        + buf.nbytes
-        + cmins.nbytes
-        + (_dp_core.Snip.table_bytes(n, dmax) if prune else 0)
-    ) / 8.0
+    table_numbers = kernseg_table_bytes(n, dmax, spec.psd) / 8.0
     return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)
+
+
+def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
+    """Bytes :func:`kernseg_exact` allocates for its persistent tables.
+
+    L and back, the column state A, comp and diag, the scratch column, and
+    for a PSD kernel the pruning lists at their cap."""
+    back = dmax * (n + 1) * 4 if dmax > 1 else 0
+    lists = _dp_core.Snip.table_bytes(n, dmax) if psd else 0
+    return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + lists
 
 
 def _direct_cost_table(sig: Signal, spec: KernelSpec) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dp_core
 from .exact_dp import Segmentation
 from .kernels import KernelSpec, SumKernel, as_signal
 
@@ -64,6 +63,11 @@ class Embedding:
         """Entries of K~ = Z' Z, on all points or on a subset of indices."""
         cols = self.Z if idx is None else self.Z[:, idx]
         return cols.T @ cols
+
+
+def embedding_table_bytes(n: int, rank: int) -> int:
+    """Bytes of an embedding's Z, prefix_sum and prefix_sqnorm arrays."""
+    return 8 * (rank * n + (n + 1) * rank + (n + 1))
 
 
 def _grid_points(values: np.ndarray, p: int) -> np.ndarray:
@@ -188,6 +192,21 @@ class SplitCandidate:
     gain: float
 
 
+def _split_scan(S, q, p2, start, end, lo, hi):
+    # best split t in [lo, hi) and its two-piece cost; ||S_t - S_a||^2 is
+    # expanded through the prefix norms p2 and one dot product per side,
+    # and the smallest t wins ties
+    ts = np.arange(lo, hi)
+    cross = S[lo:hi] @ np.column_stack([S[start], S[end]])
+    p2v = p2[lo:hi]
+    qv = q[lo:hi]
+    left = qv - q[start] - (p2v - 2.0 * cross[:, 0] + p2[start]) / (ts - start)
+    right = q[end] - qv - (p2[end] - 2.0 * cross[:, 1] + p2v) / (end - ts)
+    total = left + right
+    i = int(np.argmin(total))
+    return lo + i, float(total[i])
+
+
 def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandidate | None:
     """Best feasible split point of [start, end), or None.
 
@@ -200,7 +219,7 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     hi = end - ell + 1
     if hi <= lo:
         return None
-    split, best = _dp_core.split_scan(
+    split, best = _split_scan(
         emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq, start, end, lo, hi
     )
     gain = embedded_segment_cost(emb, start, end) - best

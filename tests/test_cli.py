@@ -63,6 +63,7 @@ def test_infeasible_configuration_exit_code(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_kernel_exit_code(tmp_path, capsys):
     p = _write(tmp_path / "big.csv", "\n".join(["30.0", "-30.0"] * 50) + "\n")
     rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "5"])
@@ -222,6 +223,11 @@ def test_bench_rows_and_budget(capsys):
         assert r["peak_table_bytes"] > 0
     skipped = run_bench([400], ["exact"], dmax=5, seed=1, memory_budget_bytes=10)
     assert skipped == []
+    # the skip check uses the byte count the cell reports
+    for r in rows:
+        budget = r["peak_table_bytes"] - 1
+        assert run_bench([r["n"]], [r["algorithm"]], p=16, dmax=5, seed=1,
+                         memory_budget_bytes=budget, log=lambda msg: None) == []
 
 
 def test_bench_cli_csv(tmp_path):

@@ -1,9 +1,6 @@
 """Exact segmenter: cost oracles, the column recurrence, and the DP table."""
 
 import math
-import os
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -28,7 +25,6 @@ from kcpd import (
     segment_cost_direct,
 )
 from kcpd import _dp_core
-from kcpd._dp_core import HAVE_JIT
 
 from conftest import best_by_enumeration, direct_cost_matrix, random_signal
 
@@ -98,6 +94,8 @@ def test_column_state_matches_direct_costs(rng):
             col = state.cost_column()
             assert col.shape == (e,)
             assert _rel_err(col, C[:e, e]).max() <= 1e-8
+            # the state and the sweep share one recurrence, bit for bit
+            assert col[0] == kernseg_exact(Signal(sig.data[:e]), spec, 1).loss(1)
 
 
 def test_column_state_constant_signal_zero_costs():
@@ -413,7 +411,6 @@ def test_forced_switches_keep_tables_bitwise(switch):
         _assert_same_tables(pruned, dense)
 
 
-@pytest.mark.skipif(HAVE_JIT, reason="the compiled minimiser does not prune")
 @pytest.mark.parametrize("ell", [1, 5])
 def test_pruning_engages_on_mean_shifts(ell):
     n, dmax = 2000, 50
@@ -426,7 +423,6 @@ def test_pruning_engages_on_mean_shifts(ell):
     assert pruned.cells_scanned <= 0.25 * _full_cells(n, dmax, ell)
 
 
-@pytest.mark.skipif(HAVE_JIT, reason="the compiled minimiser does not prune")
 @pytest.mark.parametrize(
     "spec, scale, offset",
     [(GaussianKernel(1.0), 1e-7, 0.0), (LaplaceKernel(1.0), 1e-6, 0.0), (LinearKernel(), 1.0, 1e4)],
@@ -457,34 +453,8 @@ def test_non_psd_kernels_scan_every_cell(spec):
     assert res.cells_scanned == _full_cells(n, dmax, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_kernel_raises():
     x = np.tile([30.0, -30.0], 50)
     with pytest.raises(ValueError, match=r"ExponentialKernel\(delta=1\.0\).*column 2\b"):
         kernseg_exact(Signal(x), ExponentialKernel(1.0), dmax=5)
-
-
-# ---------------------------------------------------------------------------
-# jit path versus numpy fallback
-
-
-@pytest.mark.skipif(not HAVE_JIT, reason="numba unavailable")
-def test_jit_and_fallback_agree_bitwise(tmp_path):
-    code = """
-import json, sys
-import numpy as np
-from kcpd import Signal, GaussianKernel, kernseg_exact
-rng = np.random.default_rng(99)
-x = rng.normal(size=300)
-x[150:] += 3.0
-res = kernseg_exact(Signal(x), GaussianKernel(1.0), dmax=8, ell=3)
-out = {"L": res._L.tolist(), "back": res._back.tolist()}
-print(json.dumps(out))
-"""
-    envs = [dict(os.environ), dict(os.environ, KCPD_DISABLE_JIT="1")]
-    docs = []
-    for env in envs:
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        docs.append(proc.stdout)
-    assert docs[0] == docs[1]
