@@ -1,6 +1,7 @@
 """Command-line interface: CSV in, JSON out, plus a benchmark harness.
 
-Exit codes: 0 on success, 2 for unreadable or malformed input, 3 for an
+Exit codes: 0 on success, 2 for unreadable, undecodable or malformed
+input, an unwritable output path or a malformed flag value, 3 for an
 infeasible configuration. Reported change points are 1-based segment
 starts. Timing fields live under a separate "timing" key so that two runs
 with the same configuration and input produce byte-identical JSON once
@@ -57,10 +58,13 @@ def load_csv(path: str) -> Signal:
     """Read a signal: one row per time point, comma-separated, optional header."""
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark would otherwise make row 1 a header
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     start = 0
     if lines:
         try:
@@ -136,7 +140,29 @@ def _kernel_doc(spec: KernelSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# segment subcommand
+# engines and the segment subcommand
+
+
+def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int,
+           landmarks: int, rule: str | None):
+    """Run one engine on an already scaled signal.
+
+    Returns (losses, segmentation, table bytes, cells scanned, low-rank doc).
+    ``segmentation(d)`` backtracks on demand, so timing the engine never does;
+    cells scanned is None on the low-rank path, the doc None on the exact one.
+    """
+    if algorithm == "exact":
+        res = kernseg_exact(signal, spec, dmax, ell)
+        return res.losses(), res.backtrack, int(res.table_numbers * 8), res.cells_scanned, None
+    if algorithm == "lowrank-binseg":
+        if rule is None:
+            rule = "grid" if (signal.q == 1 or isinstance(spec, SumKernel)) else "stride"
+        emb = nystrom_embed(signal, spec, p=min(landmarks, signal.n), rule=rule)
+        bres = binary_segmentation(emb, dmax, ell)
+        doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": rule, "exhausted": bres.exhausted}
+        return (bres.losses, lambda d: bres.segmentations[d - 1],
+                embedding_table_bytes(signal.n, emb.rank), None, doc)
+    raise InfeasibleError(f"unknown algorithm {algorithm!r}")
 
 
 def run_segment(
@@ -164,29 +190,9 @@ def run_segment(
     else:
         scaled, sigma = signal, np.ones(signal.q)
 
-    if algorithm == "exact":
-        result = kernseg_exact(scaled, spec, dmax, ell)
-        losses = result.losses()
-        segmentations = [result.backtrack(d) for d in range(1, dmax + 1)]
-        table_bytes = int(result.table_numbers * 8)
-        cells_scanned = result.cells_scanned
-        approx = False
-        lowrank_doc = None
-    elif algorithm == "lowrank-binseg":
-        rule = landmark_rule
-        if rule is None:
-            rule = "grid" if (signal.q == 1 or isinstance(spec, SumKernel)) else "stride"
-        emb = nystrom_embed(scaled, spec, p=min(landmarks, signal.n), rule=rule)
-        bres = binary_segmentation(emb, dmax, ell)
-        losses = bres.losses
-        segmentations = list(bres.segmentations)
-        table_bytes = embedding_table_bytes(signal.n, emb.rank)
-        cells_scanned = None
-        approx = True
-        lowrank_doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": rule,
-                       "exhausted": bres.exhausted}
-    else:
-        raise InfeasibleError(f"unknown algorithm {algorithm!r}")
+    losses, segmentation, table_bytes, cells_scanned, lowrank_doc = _solve(
+        scaled, spec, algorithm, dmax, ell, landmarks, landmark_rule)
+    segmentations = [segmentation(d) for d in range(1, dmax + 1)]
 
     fit = None
     if c1 is None or c2 is None:
@@ -197,7 +203,8 @@ def run_segment(
         pen = PenaltySpec(fit.c1, fit.c2, signal.n, dmax, ell)
     else:
         pen = PenaltySpec(c1, c2, signal.n, dmax, ell)
-    sel: SelectionResult = select(losses, pen, segmentations, slope_fit=fit, approximate_losses=approx)
+    sel: SelectionResult = select(losses, pen, segmentations, slope_fit=fit,
+                                    approximate_losses=lowrank_doc is not None)
     wall = time.perf_counter() - t0
 
     doc = {
@@ -269,42 +276,29 @@ def run_bench(
         raise InfeasibleError("benchmark grid must be sorted ascending")
     spec = GaussianKernel(1.0)
     # untimed warm-up so first-call and cache effects stay out of the
-    # measured cells
-    warm = _bench_signal(256, seed)
+    # measured cells; 16 * ell points fit min(dmax, 16) segments of length ell,
+    # and an unknown algorithm fails here, before any cell is estimated
+    warm = _bench_signal(max(256, 16 * ell), seed)
     for algo in algorithms:
-        if algo == "exact":
-            kernseg_exact(warm, spec, min(dmax, 16), ell)
-        elif algo == "lowrank-binseg":
-            emb = nystrom_embed(warm, spec, p=16, rule="grid")
-            binary_segmentation(emb, min(dmax, 16), ell)
+        _solve(warm, spec, algo, min(dmax, 16), ell, 16, None)
     rows = []
     for n in grid:
         sig = _bench_signal(n, seed)
         for algo in algorithms:
-            d_eff = min(dmax, n)
+            d_eff = min(dmax, max(1, n // ell))  # n < ell fails on the length floor
             if algo == "exact":
-                est = kernseg_table_bytes(n, d_eff, spec.psd)
                 p_used = 0
-            elif algo == "lowrank-binseg":
+                est = kernseg_table_bytes(n, d_eff, spec.psd)
+            else:
                 p_used = int(round(math.sqrt(n))) if p_rule == "sqrt" else p
                 p_used = min(p_used, n)
                 est = embedding_table_bytes(n, p_used)
-            else:
-                raise InfeasibleError(f"unknown algorithm {algo!r}")
             if est > memory_budget_bytes:
                 log(f"skipping {algo} at n={n}: estimated {est} table bytes over budget")
                 continue
-            if algo == "exact":
-                t0 = time.perf_counter()
-                res = kernseg_exact(sig, spec, d_eff, ell)
-                seconds = time.perf_counter() - t0
-                bytes_used = int(res.table_numbers * 8)
-            else:
-                t0 = time.perf_counter()
-                emb = nystrom_embed(sig, spec, p=p_used, rule="grid")
-                binary_segmentation(emb, d_eff, ell)
-                seconds = time.perf_counter() - t0
-                bytes_used = embedding_table_bytes(n, emb.rank)
+            t0 = time.perf_counter()
+            _, _, bytes_used, _, _ = _solve(sig, spec, algo, d_eff, ell, p_used, None)
+            seconds = time.perf_counter() - t0
             rows.append(
                 {"algorithm": algo, "n": n, "p": p_used, "seconds": seconds,
                  "peak_table_bytes": bytes_used}
@@ -314,6 +308,13 @@ def run_bench(
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+def _comma_list(convert):
+    """argparse type for a comma-separated list; blank items are skipped."""
+    def comma_separated(text: str) -> list:
+        return [convert(v.strip()) for v in text.split(",") if v.strip()]
+    return comma_separated
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["linear", "gaussian", "laplace", "exponential", "energy", "sum"])
     seg.add_argument("--delta", type=float, default=1.0, help="bandwidth")
     seg.add_argument("--alpha", type=float, default=1.0, help="energy exponent in (0, 2)")
-    seg.add_argument("--x0", default=None, help="energy anchor, comma-separated floats")
+    seg.add_argument("--x0", type=_comma_list(float), default=None,
+                     help="energy anchor, comma-separated floats")
     seg.add_argument("--sum-child", default="gaussian",
                      choices=["linear", "gaussian", "laplace", "exponential", "energy"],
                      help="per-coordinate family for --kernel sum")
@@ -354,8 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="2 adds a folded second coordinate")
 
     ben = sub.add_parser("bench", help="runtime scaling harness")
-    ben.add_argument("--grid", required=True, help="comma-separated signal lengths, ascending")
-    ben.add_argument("--algorithms", default="exact,lowrank-binseg")
+    ben.add_argument("--grid", type=_comma_list(int), required=True,
+                     help="comma-separated signal lengths, ascending")
+    ben.add_argument("--algorithms", type=_comma_list(str), default="exact,lowrank-binseg")
     ben.add_argument("--landmarks", type=int, default=100)
     ben.add_argument("--p-rule", default="fixed", choices=["fixed", "sqrt"])
     ben.add_argument("--dmax", type=int, default=100)
@@ -366,10 +369,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text and a newline to path, or print it when no path is given."""
+    if not path:
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _cmd_segment(args) -> int:
     signal = load_csv(args.input)
-    x0 = None if args.x0 is None else [float(v) for v in args.x0.split(",")]
-    spec = build_kernel(args.kernel, args.delta, args.alpha, x0, signal.q, args.sum_child)
+    spec = build_kernel(args.kernel, args.delta, args.alpha, args.x0, signal.q, args.sum_child)
     if args.algorithm == "exact" and (args.landmarks != 100 or args.landmark_rule is not None):
         print("note: landmark options are ignored on the exact path", file=sys.stderr)
     doc = run_segment(
@@ -384,12 +395,7 @@ def _cmd_segment(args) -> int:
         c1=args.c1,
         c2=args.c2,
     )
-    text = json.dumps(doc, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(doc, indent=2), args.output)
     return EXIT_OK
 
 
@@ -419,17 +425,14 @@ def _cmd_simulate(args) -> int:
             "change_points": list(out.truth.starts),
             "means": [[float(v) for v in r] for r in out.means[[s - 1 for s in out.truth.starts]]],
         }
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(truth_doc, indent=2) + "\n")
+        _emit(json.dumps(truth_doc, indent=2), args.truth)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    grid = [int(v) for v in args.grid.split(",")]
-    algos = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     rows = run_bench(
-        grid,
-        algos,
+        args.grid,
+        args.algorithms,
         p=args.landmarks,
         p_rule=args.p_rule,
         dmax=args.dmax,
@@ -440,12 +443,7 @@ def _cmd_bench(args) -> int:
     lines = ["algorithm,n,p,seconds,peak_table_bytes"]
     for r in rows:
         lines.append(f"{r['algorithm']},{r['n']},{r['p']},{r['seconds']:.6f},{r['peak_table_bytes']}")
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit("\n".join(lines), args.output)
     return EXIT_OK
 
 
@@ -457,7 +455,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_bench(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleError as exc:

@@ -11,6 +11,7 @@ from kcpd.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    _bench_signal,
     build_kernel,
     load_csv,
     main,
@@ -32,6 +33,10 @@ def test_load_csv_with_and_without_header(tmp_path):
     s2 = load_csv(p2)
     np.testing.assert_array_equal(s1.data, s2.data)
     assert s1.q == 2
+    # a byte-order mark must not turn a headerless first row into a header
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n")
+    np.testing.assert_array_equal(load_csv(str(bom)).data[:, 0], [1.5, 2.5, 3.5, 4.5])
 
 
 def test_load_csv_errors(tmp_path, capsys):
@@ -47,6 +52,35 @@ def test_load_csv_errors(tmp_path, capsys):
     assert main(["segment", "--input", ragged]) == EXIT_INPUT
 
     assert main(["segment", "--input", str(tmp_path / "missing.csv")]) == EXIT_INPUT
+
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"caf\xe9\n1.0\n2.0\n")
+    capsys.readouterr()
+    assert main(["segment", "--input", str(latin1)]) == EXIT_INPUT
+    assert str(latin1) in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    inp = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
+    bad = str(tmp_path / "missing-dir" / "out")
+    for argv in (
+        ["segment", "--input", inp, "--dmax", "3", "--c1", "1", "--c2", "1", "--output", bad],
+        ["bench", "--grid", "100", "--algorithms", "exact", "--dmax", "3", "--output", bad],
+        ["simulate", "--n", "50", "--output", bad],
+        ["simulate", "--n", "50", "--output", str(tmp_path / "s.csv"), "--truth", bad],
+    ):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["segment", "--input", "x.csv", "--x0", "abc"],
+                                  ["bench", "--grid", "1,a"]])
+def test_malformed_list_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
 
 
 def test_csv_roundtrip(tmp_path, rng):
@@ -221,6 +255,10 @@ def test_bench_rows_and_budget(capsys):
     for r in rows:
         assert r["seconds"] > 0
         assert r["peak_table_bytes"] > 0
+        # bench and segment run the same engine on the same signal
+        doc = run_segment(_bench_signal(r["n"], 1), GaussianKernel(1.0), algorithm=r["algorithm"],
+                          dmax=5, scale=False, landmarks=16, c1=1.0, c2=1.0)
+        assert doc["diagnostics"]["peak_table_bytes"] == r["peak_table_bytes"]
     skipped = run_bench([400], ["exact"], dmax=5, seed=1, memory_budget_bytes=10)
     assert skipped == []
     # the skip check uses the byte count the cell reports
@@ -228,6 +266,13 @@ def test_bench_rows_and_budget(capsys):
         budget = r["peak_table_bytes"] - 1
         assert run_bench([r["n"]], [r["algorithm"]], p=16, dmax=5, seed=1,
                          memory_budget_bytes=budget, log=lambda msg: None) == []
+
+
+def test_bench_honours_min_seg_len():
+    rows = run_bench([2000], ["exact", "lowrank-binseg"], dmax=12, ell=30)
+    assert [r["algorithm"] for r in rows] == ["exact", "lowrank-binseg"]
+    with pytest.raises(ValueError, match="length >= 30 need 30 points"):
+        run_bench([10], ["exact"], dmax=3, ell=30)
 
 
 def test_bench_cli_csv(tmp_path):
