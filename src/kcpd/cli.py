@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .exact_dp import kernseg_exact, kernseg_table_bytes
+from .exact_dp import check_feasible, kernseg_exact, kernseg_table_bytes
 from .kernels import (
     EnergyKernel,
     ExponentialKernel,
@@ -103,39 +104,36 @@ def save_csv(signal: Signal, path: str, header: bool = False) -> None:
 # kernel construction
 
 
+# --kernel name -> (class, its build_kernel arguments in order); sum is per-coordinate
+_FAMILIES = {
+    "linear": (LinearKernel, ()),
+    "gaussian": (GaussianKernel, ("delta",)),
+    "laplace": (LaplaceKernel, ("delta",)),
+    "exponential": (ExponentialKernel, ("delta",)),
+    "energy": (EnergyKernel, ("alpha", "x0")),
+    "sum": (SumKernel, ()),
+}
+
+
 def build_kernel(family: str, delta: float, alpha: float, x0, q: int, sum_child: str) -> KernelSpec:
     family = family.lower()
-    if family == "linear":
-        return LinearKernel()
-    if family == "gaussian":
-        return GaussianKernel(delta)
-    if family == "laplace":
-        return LaplaceKernel(delta)
-    if family == "exponential":
-        return ExponentialKernel(delta)
-    if family == "energy":
-        return EnergyKernel(alpha, None if x0 is None else tuple(x0))
     if family == "sum":
         child = build_kernel(sum_child, delta, alpha, None, 1, sum_child)
         return SumKernel.per_coordinate([child] * q)
-    raise InfeasibleError(f"unknown kernel family {family!r}")
+    if family not in _FAMILIES:
+        raise InfeasibleError(f"unknown kernel family {family!r}")
+    cls, names = _FAMILIES[family]
+    args = {"delta": delta, "alpha": alpha, "x0": x0}
+    return cls(*(args[a] for a in names))
 
 
 def _kernel_doc(spec: KernelSpec) -> dict:
-    if isinstance(spec, LinearKernel):
-        return {"family": "linear"}
-    if isinstance(spec, GaussianKernel):
-        return {"family": "gaussian", "delta": spec.delta}
-    if isinstance(spec, LaplaceKernel):
-        return {"family": "laplace", "delta": spec.delta}
-    if isinstance(spec, ExponentialKernel):
-        return {"family": "exponential", "delta": spec.delta}
-    if isinstance(spec, EnergyKernel):
-        return {"family": "energy", "alpha": spec.alpha,
-                "x0": None if spec.x0 is None else list(spec.x0)}
     if isinstance(spec, SumKernel):
         return {"family": "sum",
                 "children": [{"coordinates": list(idxs), **_kernel_doc(s)} for idxs, s in spec.children]}
+    for family, (cls, names) in _FAMILIES.items():
+        if isinstance(spec, cls):
+            return {"family": family, **{a: getattr(spec, a) for a in names}}
     return {"family": spec.__class__.__name__}
 
 
@@ -155,11 +153,9 @@ def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int
         res = kernseg_exact(signal, spec, dmax, ell)
         return res.losses(), res.backtrack, int(res.table_numbers * 8), res.cells_scanned, None
     if algorithm == "lowrank-binseg":
-        if rule is None:
-            rule = "grid" if (signal.q == 1 or isinstance(spec, SumKernel)) else "stride"
         emb = nystrom_embed(signal, spec, p=min(landmarks, signal.n), rule=rule)
         bres = binary_segmentation(emb, dmax, ell)
-        doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": rule, "exhausted": bres.exhausted}
+        doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": emb.rule, "exhausted": bres.exhausted}
         return (bres.losses, lambda d: bres.segmentations[d - 1],
                 embedding_table_bytes(signal.n, emb.rank), None, doc)
     raise InfeasibleError(f"unknown algorithm {algorithm!r}")
@@ -179,11 +175,7 @@ def run_segment(
 ) -> dict:
     """Segment a signal end to end and return the JSON-ready document."""
     t0 = time.perf_counter()
-    if dmax < 1 or ell < 1 or dmax * ell > signal.n:
-        raise InfeasibleError(
-            f"infeasible configuration: Dmax={dmax} segments of length >= {ell} "
-            f"in {signal.n} points"
-        )
+    check_feasible(signal.n, dmax, ell)
 
     if scale:
         scaled, sigma = mad_scale(signal)
@@ -324,14 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     seg = sub.add_parser("segment", help="segment a CSV signal")
     seg.add_argument("--input", required=True)
     seg.add_argument("--output", default=None, help="output JSON path (default: stdout)")
-    seg.add_argument("--kernel", default="gaussian",
-                     choices=["linear", "gaussian", "laplace", "exponential", "energy", "sum"])
+    seg.add_argument("--kernel", default="gaussian", choices=list(_FAMILIES))
     seg.add_argument("--delta", type=float, default=1.0, help="bandwidth")
     seg.add_argument("--alpha", type=float, default=1.0, help="energy exponent in (0, 2)")
     seg.add_argument("--x0", type=_comma_list(float), default=None,
                      help="energy anchor, comma-separated floats")
     seg.add_argument("--sum-child", default="gaussian",
-                     choices=["linear", "gaussian", "laplace", "exponential", "energy"],
+                     choices=[f for f in _FAMILIES if f != "sum"],
                      help="per-coordinate family for --kernel sum")
     seg.add_argument("--algorithm", default="exact", choices=["exact", "lowrank-binseg"])
     seg.add_argument("--dmax", type=int, default=100)
@@ -376,6 +367,14 @@ def _emit(text: str, path: str | None) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise OSError now, before any work, for a given path that cannot be written."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OSError(f"cannot write {path}: not a file path in a writable directory")
 
 
 def _cmd_segment(args) -> int:
@@ -450,6 +449,7 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_writable(args.output, getattr(args, "truth", None))
         if args.command == "segment":
             return _cmd_segment(args)
         if args.command == "simulate":

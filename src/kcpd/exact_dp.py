@@ -234,7 +234,8 @@ def backtrack(result: DPResult, d: int) -> Segmentation:
     return result.backtrack(d)
 
 
-def _validate_dp_args(n: int, dmax: int, ell: int) -> None:
+def check_feasible(n: int, dmax: int, ell: int) -> None:
+    """Raise ValueError unless dmax segments of at least ell points fit in n."""
     if dmax < 1:
         raise ValueError(f"Dmax must be at least 1, got {dmax}")
     if ell < 1:
@@ -243,6 +244,12 @@ def _validate_dp_args(n: int, dmax: int, ell: int) -> None:
         raise ValueError(
             f"infeasible: {dmax} segments of length >= {ell} need {dmax * ell} points, signal has {n}"
         )
+
+
+def overflow_error(spec: KernelSpec, what: str) -> ValueError:
+    """The error for a kernel that overflows on the data; ``what`` is non-finite."""
+    return ValueError(f"{spec!r} gives a non-finite {what}: the kernel overflows on this "
+                      "signal; rescale the data or choose another kernel")
 
 
 def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult:
@@ -260,7 +267,7 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     sig = as_signal(signal)
     spec.check_dim(sig.q)
     n = sig.n
-    _validate_dp_args(n, dmax, ell)
+    check_feasible(n, dmax, ell)
     X = sig.data
 
     L = np.full((dmax, n + 1), BIG)
@@ -282,10 +289,7 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
                 column_fn(e - 1, buf)
             _dp_core.column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip)
             if not math.isfinite(L[0, e]):
-                raise ValueError(
-                    f"{spec!r} gives a non-finite segment cost at column {e}: the kernel "
-                    "overflows on this signal; rescale the data or choose another kernel"
-                )
+                raise overflow_error(spec, f"segment cost at column {e}")
 
     table_numbers = kernseg_table_bytes(n, dmax, spec.psd) / 8.0
     return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)
@@ -337,7 +341,7 @@ def naive_dp(signal, spec: KernelSpec, dmax: int, max_n: int = NAIVE_DEFAULT_CAP
     n = sig.n
     if n > max_n:
         raise ValueError(f"signal of length {n} exceeds the cap {max_n} for the quadratic-memory baseline")
-    _validate_dp_args(n, dmax, 1)
+    check_feasible(n, dmax, 1)
     spec.check_dim(sig.q)
 
     C = _direct_cost_table(sig, spec)

@@ -79,24 +79,23 @@ def _point(x) -> np.ndarray:
     return v
 
 
-_BLOCK_ELEMS = 8_000_000
+def _sq_dist_col(X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # ||X[i] - y||^2 by direct differencing; unlike the norm-expansion trick
+    # this has no cancellation, so coincident points give exactly zero and
+    # sqrt does not amplify any residue
+    d = X - y
+    np.multiply(d, d, out=d)
+    return d.sum(axis=1, out=out)
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
-    # pairwise squared Euclidean distances by direct differencing, blocked
-    # over rows to bound the temporary; unlike the norm-expansion trick this
-    # has no cancellation, so coincident points give exactly zero and sqrt
-    # does not amplify any residue
+    # pairwise squared distances, one column call per point of the shorter
+    # operand; fl(a - b) = -fl(b - a), so either order gives the same squares
     Y = X if Y is None else Y
-    n, q = X.shape
-    m = Y.shape[0]
-    out = np.empty((n, m))
-    rows = max(1, _BLOCK_ELEMS // max(1, m * q))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        diff = X[s:e, None, :] - Y[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        out[s:e] = diff.sum(axis=2)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    short, other, view = (X, Y, out) if X.shape[0] <= Y.shape[0] else (Y, X, out.T)
+    for i, x in enumerate(short):
+        _sq_dist_col(other, x, view[i])
     return out
 
 
@@ -165,75 +164,66 @@ class LinearKernel(KernelSpec):
         return X @ Y.T
 
 
-def _check_delta(delta: float) -> None:
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"bandwidth must be a positive real, got {delta!r}")
-
-
 @dataclass(frozen=True)
-class GaussianKernel(KernelSpec):
-    """k(x, y) = exp(-||x - y||^2 / delta)."""
+class _Bandwidth(KernelSpec):
+    """Base of the families exp(-r(x, y) / delta) with bandwidth delta > 0."""
 
-    psd = True
     delta: float = 1.0
 
     def __post_init__(self):
-        _check_delta(self.delta)
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"bandwidth must be a positive real, got {self.delta!r}")
+
+    def _exp(self, r: np.ndarray) -> np.ndarray:
+        # exp(-r / delta), in place
+        np.divide(r, -self.delta, out=r)
+        return np.exp(r, out=r)
+
+
+@dataclass(frozen=True)
+class GaussianKernel(_Bandwidth):
+    """k(x, y) = exp(-||x - y||^2 / delta)."""
+
+    psd = True
 
     def _pair(self, x, y):
         d = x - y
         return math.exp(-(d @ d) / self.delta)
 
     def cross(self, X, y, out=None):
-        d = X - y
-        np.multiply(d, d, out=d)
-        s = d.sum(axis=1, out=out)
-        np.divide(s, -self.delta, out=s)
-        return np.exp(s, out=s)
+        return self._exp(_sq_dist_col(X, y, out))
 
     def diag(self, X):
         return np.ones(X.shape[0])
 
     def gram(self, X, Y=None):
-        d2 = _sq_dists(X, Y)
-        np.divide(d2, -self.delta, out=d2)
-        return np.exp(d2, out=d2)
+        return self._exp(_sq_dists(X, Y))
 
 
 @dataclass(frozen=True)
-class LaplaceKernel(KernelSpec):
+class LaplaceKernel(_Bandwidth):
     """k(x, y) = exp(-||x - y|| / delta)."""
 
     psd = True
-    delta: float = 1.0
-
-    def __post_init__(self):
-        _check_delta(self.delta)
 
     def _pair(self, x, y):
         d = x - y
         return math.exp(-math.sqrt(d @ d) / self.delta)
 
     def cross(self, X, y, out=None):
-        d = X - y
-        np.multiply(d, d, out=d)
-        s = d.sum(axis=1, out=out)
-        np.sqrt(s, out=s)
-        np.divide(s, -self.delta, out=s)
-        return np.exp(s, out=s)
+        s = _sq_dist_col(X, y, out)
+        return self._exp(np.sqrt(s, out=s))
 
     def diag(self, X):
         return np.ones(X.shape[0])
 
     def gram(self, X, Y=None):
         d2 = _sq_dists(X, Y)
-        np.sqrt(d2, out=d2)
-        np.divide(d2, -self.delta, out=d2)
-        return np.exp(d2, out=d2)
+        return self._exp(np.sqrt(d2, out=d2))
 
 
 @dataclass(frozen=True)
-class ExponentialKernel(KernelSpec):
+class ExponentialKernel(_Bandwidth):
     """k(x, y) = exp(-<x, y> / delta).
 
     Note: this family is symmetric but not positive semi-definite; a Gram
@@ -243,28 +233,18 @@ class ExponentialKernel(KernelSpec):
     """
 
     psd = False
-    delta: float = 1.0
-
-    def __post_init__(self):
-        _check_delta(self.delta)
 
     def _pair(self, x, y):
         return math.exp(-(x @ y) / self.delta)
 
     def cross(self, X, y, out=None):
-        s = np.matmul(X, y, out=out)
-        np.divide(s, -self.delta, out=s)
-        return np.exp(s, out=s)
+        return self._exp(np.matmul(X, y, out=out))
 
     def diag(self, X):
-        s = np.einsum("ij,ij->i", X, X)
-        return np.exp(s / -self.delta)
+        return self._exp(np.einsum("ij,ij->i", X, X))
 
     def gram(self, X, Y=None):
-        Y = X if Y is None else Y
-        s = X @ Y.T
-        np.divide(s, -self.delta, out=s)
-        return np.exp(s, out=s)
+        return self._exp(X @ (X if Y is None else Y).T)
 
 
 @dataclass(frozen=True)
@@ -311,22 +291,23 @@ class EnergyKernel(KernelSpec):
         d = X - self._anchor(X.shape[1])
         return np.einsum("ij,ij->i", d, d) ** (self.alpha / 2)
 
-    def cross(self, X, y, out=None):
-        ax = self._anchor_norms(X)
-        ay = self._anchor_norms(y[None, :])[0]
-        d = X - y
-        np.multiply(d, d, out=d)
-        s = d.sum(axis=1, out=out)
+    def _column(self, X, ax, y, ay, out):
+        # k(X[i], y) from the anchor norms ax of X and ay of y
+        s = _sq_dist_col(X, y, out)
         np.power(s, self.alpha / 2, out=s)
         np.subtract(ax, s, out=s)
         s += ay
         s *= 0.5
         return s
 
+    def cross(self, X, y, out=None):
+        return self._column(X, self._anchor_norms(X), y, self._anchor_norms(y[None, :])[0], out)
+
     def diag(self, X):
         return self._anchor_norms(X)
 
     def gram(self, X, Y=None):
+        # not _column: (ax + ay) - d rounds differently from (ax - d) + ay
         ax = self._anchor_norms(X)
         ay = ax if Y is None else self._anchor_norms(Y)
         d = _sq_dists(X, Y) ** (self.alpha / 2)
@@ -334,17 +315,9 @@ class EnergyKernel(KernelSpec):
 
     def prefix_column_fn(self, X):
         anchor = self._anchor_norms(X)
-        a = self.alpha
 
         def f(j: int, out: np.ndarray) -> np.ndarray:
-            d = X[:j] - X[j]
-            np.multiply(d, d, out=d)
-            s = d.sum(axis=1, out=out[:j])
-            np.power(s, a / 2, out=s)
-            np.subtract(anchor[:j], s, out=s)
-            s += anchor[j]
-            s *= 0.5
-            return s
+            return self._column(X[:j], anchor[:j], X[j], anchor[j], out[:j])
 
         return f
 
@@ -398,54 +371,41 @@ class SumKernel(KernelSpec):
     def _pair(self, x, y):
         return sum(spec._pair(x[list(idxs)], y[list(idxs)]) for idxs, spec in self.children)
 
-    def cross(self, X, y, out=None):
+    def _sum_over_children(self, X, part):
+        # sum over children of part(child, its columns, X restricted to them)
         self.check_dim(X.shape[1])
         acc = None
         for idxs, spec in self.children:
             cols = list(idxs)
-            part = spec.cross(np.ascontiguousarray(X[:, cols]), y[cols])
-            acc = part if acc is None else acc + part
+            val = part(spec, cols, np.ascontiguousarray(X[:, cols]))
+            acc = val if acc is None else acc + val
+        return acc
+
+    def cross(self, X, y, out=None):
+        acc = self._sum_over_children(X, lambda spec, cols, xc: spec.cross(xc, y[cols]))
         if out is not None:
             out[: acc.shape[0]] = acc
             return out[: acc.shape[0]]
         return acc
 
     def diag(self, X):
-        self.check_dim(X.shape[1])
-        acc = None
-        for idxs, spec in self.children:
-            part = spec.diag(np.ascontiguousarray(X[:, list(idxs)]))
-            acc = part if acc is None else acc + part
-        return acc
+        return self._sum_over_children(X, lambda spec, cols, xc: spec.diag(xc))
 
     def gram(self, X, Y=None):
-        self.check_dim(X.shape[1])
-        acc = None
-        for idxs, spec in self.children:
-            cols = list(idxs)
-            xs = np.ascontiguousarray(X[:, cols])
-            ys = None if Y is None else np.ascontiguousarray(Y[:, cols])
-            part = spec.gram(xs, ys)
-            acc = part if acc is None else acc + part
-        return acc
+        return self._sum_over_children(X, lambda spec, cols, xc: spec.gram(
+            xc, None if Y is None else np.ascontiguousarray(Y[:, cols])))
 
     def prefix_column_fn(self, X):
         self.check_dim(X.shape[1])
-        parts = []
-        for idxs, spec in self.children:
-            xc = np.ascontiguousarray(X[:, list(idxs)])
-            parts.append((spec.prefix_column_fn(xc), np.empty(X.shape[0])))
+        (first_fn, first_buf), *rest = [
+            (spec.prefix_column_fn(np.ascontiguousarray(X[:, list(idxs)])), np.empty(X.shape[0]))
+            for idxs, spec in self.children]
 
         def f(j: int, out: np.ndarray) -> np.ndarray:
             target = out[:j]
-            first = True
-            for child_fn, buf in parts:
-                vals = child_fn(j, buf)
-                if first:
-                    target[:] = vals
-                    first = False
-                else:
-                    target += vals
+            target[:] = first_fn(j, first_buf)
+            for child_fn, buf in rest:
+                target += child_fn(j, buf)
             return target
 
         return f

@@ -11,12 +11,13 @@ queries and the greedy splitter runs in O(p' n log Dmax) overall.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_dp import Segmentation
+from .exact_dp import Segmentation, check_feasible, overflow_error
 from .kernels import KernelSpec, SumKernel, as_signal
 
 __all__ = [
@@ -44,7 +45,8 @@ class Embedding:
     """
 
     Z: np.ndarray
-    landmarks: np.ndarray
+    # landmark rule used, "grid" or "stride"; None for explicit points
+    rule: str | None
     dropped: int
     prefix_sum: np.ndarray
     prefix_sqnorm: np.ndarray
@@ -70,10 +72,10 @@ def embedding_table_bytes(n: int, rank: int) -> int:
     return 8 * (rank * n + (n + 1) * rank + (n + 1))
 
 
-def _grid_points(values: np.ndarray, p: int) -> np.ndarray:
-    lo = float(values.min())
-    hi = float(values.max())
-    return np.linspace(lo, hi, p)[:, None]
+def _grid_points(X: np.ndarray, p: int) -> np.ndarray:
+    if X.shape[1] != 1:
+        raise ValueError("grid landmarks need one coordinate per kernel block")
+    return np.linspace(float(X.min()), float(X.max()), p)[:, None]
 
 
 def _stride_indices(n: int, p: int) -> np.ndarray:
@@ -83,9 +85,12 @@ def _stride_indices(n: int, p: int) -> np.ndarray:
     return np.arange(0, n, step)
 
 
-def _embed_block(spec: KernelSpec, X: np.ndarray, landmarks: np.ndarray) -> tuple[np.ndarray, int]:
-    """Z block for one kernel: rows are scaled eigenvector projections."""
+def _embed_block(spec: KernelSpec, X: np.ndarray, landmarks: np.ndarray,
+                 whole: KernelSpec) -> tuple[np.ndarray, int]:
+    """Z block for one kernel; an overflow error names the whole kernel."""
     kjj = spec.gram(landmarks)
+    if not np.isfinite(kjj).all():
+        raise overflow_error(whole, "landmark Gram matrix")
     kjx = spec.gram(landmarks, X)
     w, v = np.linalg.eigh(kjj)
     wmax = float(w[-1])
@@ -97,73 +102,63 @@ def _embed_block(spec: KernelSpec, X: np.ndarray, landmarks: np.ndarray) -> tupl
     return scaled.T @ kjx, dropped
 
 
-def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str = "grid",
+def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = None,
                   points: np.ndarray | None = None) -> Embedding:
     """Landmark embedding of a signal under a kernel.
 
     rule = "grid" places p equally spaced values between the smallest and
     largest observed value (univariate data, or per coordinate block of a
     sum kernel); rule = "stride" takes every ceil(n/p)-th observation and
-    works for any kernel. Explicit landmark ``points`` override the rule.
-    Sum kernels embed each coordinate block independently and stack the
-    features, since inner products add.
+    works for any kernel; rule = None picks grid for univariate data or a
+    sum kernel, else stride. Explicit landmark ``points`` override the rule
+    (recorded as None). Sum kernels embed each coordinate block
+    independently and stack the features, since inner products add.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
     X = sig.data
     n = sig.n
-    if points is None and not (1 <= p <= n):
-        raise ValueError(f"landmark count must lie in 1..{n}, got {p}")
-
-    if isinstance(spec, SumKernel) and points is None:
+    if points is not None:
+        rule = None
+        points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+        if points.shape[1] != sig.q:
+            raise ValueError(f"landmark dimension {points.shape[1]} does not match q={sig.q}")
+        blocks = [(spec, X)]
+    else:
+        if not (1 <= p <= n):
+            raise ValueError(f"landmark count must lie in 1..{n}, got {p}")
+        if rule is None:
+            rule = "grid" if (sig.q == 1 or isinstance(spec, SumKernel)) else "stride"
         if rule == "stride":
             idx = _stride_indices(n, p)
         elif rule != "grid":
             raise ValueError(f"unknown landmark rule {rule!r}")
-        blocks = []
-        marks = []
-        dropped = 0
-        for idxs, child in spec.children:
-            xc = np.ascontiguousarray(X[:, list(idxs)])
-            if rule == "grid":
-                if xc.shape[1] != 1:
-                    raise ValueError("grid landmarks need one coordinate per child block")
-                lm = _grid_points(xc[:, 0], p)
-            else:
-                lm = xc[idx]
-            z, d = _embed_block(child, xc, lm)
-            blocks.append(z)
-            marks.append(lm)
-            dropped += d
-        Z = np.vstack(blocks)
-        # diagnostics only: one landmark column per child block under the
-        # grid rule, the selected observations under the stride rule
-        landmarks = X[idx] if rule == "stride" else np.hstack(marks)
-    else:
-        if points is not None:
-            landmarks = np.asarray(points, dtype=np.float64)
-            if landmarks.ndim == 1:
-                landmarks = landmarks[:, None]
-            if landmarks.shape[1] != sig.q:
-                raise ValueError(
-                    f"landmark dimension {landmarks.shape[1]} does not match q={sig.q}"
-                )
-        elif rule == "grid":
-            if sig.q != 1:
-                raise ValueError("grid landmarks need a univariate signal or a sum kernel")
-            landmarks = _grid_points(X[:, 0], p)
-        elif rule == "stride":
-            landmarks = X[_stride_indices(n, p)]
-        else:
-            raise ValueError(f"unknown landmark rule {rule!r}")
-        Z, dropped = _embed_block(spec, X, landmarks)
+        blocks = ([(child, np.ascontiguousarray(X[:, list(idxs)])) for idxs, child in spec.children]
+                  if isinstance(spec, SumKernel) else [(spec, X)])
 
-    prefix = np.zeros((n + 1, Z.shape[0]))
-    np.cumsum(Z.T, axis=0, out=prefix[1:])
-    sqnorm = np.zeros(n + 1)
-    np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
-    norm_sq = np.einsum("ij,ij->i", prefix, prefix)
-    return Embedding(Z=Z, landmarks=landmarks, dropped=dropped,
+    parts = []
+    dropped = 0
+    # an overflowing kernel warns on its way to the values the guards report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block_spec, xb in blocks:
+            if points is not None:
+                lm = points
+            elif rule == "grid":
+                lm = _grid_points(xb, p)
+            else:
+                lm = xb[idx]
+            z, d = _embed_block(block_spec, xb, lm, spec)
+            parts.append(z)
+            dropped += d
+        Z = parts[0] if len(parts) == 1 else np.vstack(parts)
+        prefix = np.zeros((n + 1, Z.shape[0]))
+        np.cumsum(Z.T, axis=0, out=prefix[1:])
+        sqnorm = np.zeros(n + 1)
+        np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
+        if not math.isfinite(sqnorm[-1]):
+            raise overflow_error(spec, "embedding")
+        norm_sq = np.einsum("ij,ij->i", prefix, prefix)
+    return Embedding(Z=Z, rule=rule, dropped=dropped,
                      prefix_sum=prefix, prefix_sqnorm=sqnorm, prefix_norm_sq=norm_sq)
 
 
@@ -192,21 +187,6 @@ class SplitCandidate:
     gain: float
 
 
-def _split_scan(S, q, p2, start, end, lo, hi):
-    # best split t in [lo, hi) and its two-piece cost; ||S_t - S_a||^2 is
-    # expanded through the prefix norms p2 and one dot product per side,
-    # and the smallest t wins ties
-    ts = np.arange(lo, hi)
-    cross = S[lo:hi] @ np.column_stack([S[start], S[end]])
-    p2v = p2[lo:hi]
-    qv = q[lo:hi]
-    left = qv - q[start] - (p2v - 2.0 * cross[:, 0] + p2[start]) / (ts - start)
-    right = q[end] - qv - (p2[end] - 2.0 * cross[:, 1] + p2v) / (end - ts)
-    total = left + right
-    i = int(np.argmin(total))
-    return lo + i, float(total[i])
-
-
 def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandidate | None:
     """Best feasible split point of [start, end), or None.
 
@@ -219,11 +199,30 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     hi = end - ell + 1
     if hi <= lo:
         return None
-    split, best = _split_scan(
-        emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq, start, end, lo, hi
-    )
-    gain = embedded_segment_cost(emb, start, end) - best
-    return SplitCandidate(start=start, end=end, split=split, gain=max(gain, 0.0))
+    # two-piece cost of each split t in [lo, hi). BLAS may round the product
+    # differently for other row ranges or operand layouts, so it always spans
+    # exactly [lo, hi) with a C-ordered (rank, 2) operand. Each side is then
+    # (q_t - q_a) - (p2_t - 2 S_t.S_a + p2_a) / |t - a| in that order;
+    # scaling by -2 is exact and the in-place steps only reuse buffers
+    S, q, p2 = emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq
+    cross = S[lo:hi] @ S.take((start, end), axis=0).T.copy()
+    cross *= -2.0
+    p2v = p2[lo:hi]
+    qv = q[lo:hi]
+    lnum = p2v + cross[:, 0]
+    lnum += p2[start]
+    lnum /= np.arange(lo - start, hi - start, dtype=np.float64)
+    rnum = cross[:, 1] + p2[end]
+    rnum += p2v
+    rnum /= np.arange(end - lo, end - hi, -1, dtype=np.float64)
+    total = qv - q[start]
+    total -= lnum
+    right = q[end] - qv
+    right -= rnum
+    total += right
+    i = int(np.argmin(total))
+    gain = embedded_segment_cost(emb, start, end) - float(total[i])
+    return SplitCandidate(start=start, end=end, split=lo + i, gain=max(gain, 0.0))
 
 
 @dataclass(frozen=True)
@@ -250,15 +249,8 @@ def binary_segmentation(emb: Embedding, dmax: int, ell: int = 1) -> BinSegResult
     its two children. Every segment enters the heap exactly once, so no
     stale-candidate handling is needed.
     """
-    if dmax < 1:
-        raise ValueError(f"Dmax must be at least 1, got {dmax}")
-    if ell < 1:
-        raise ValueError(f"minimum segment length must be at least 1, got {ell}")
     n = emb.n
-    if dmax * ell > n:
-        raise ValueError(
-            f"infeasible: {dmax} segments of length >= {ell} need {dmax * ell} points, signal has {n}"
-        )
+    check_feasible(n, dmax, ell)
 
     heap: list[tuple[float, int, SplitCandidate]] = []
 

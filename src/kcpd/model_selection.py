@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_dp import Segmentation
+from .exact_dp import Segmentation, check_feasible
 
 __all__ = [
     "PenaltySpec",
@@ -71,12 +71,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("penalty constants must be nonnegative")
-        if self.ell < 1 or self.dmax < 1:
-            raise ValueError("dmax and ell must be positive")
-        if self.dmax * self.ell > self.n:
-            raise ValueError(
-                f"infeasible: {self.dmax} segments of length >= {self.ell} in {self.n} points"
-            )
+        check_feasible(self.n, self.dmax, self.ell)
 
 
 def penalty(d: int, spec: PenaltySpec) -> float:

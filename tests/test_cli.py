@@ -11,7 +11,9 @@ from kcpd.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    _FAMILIES,
     _bench_signal,
+    _kernel_doc,
     build_kernel,
     load_csv,
     main,
@@ -60,19 +62,27 @@ def test_load_csv_errors(tmp_path, capsys):
     assert str(latin1) in capsys.readouterr().err
 
 
-def test_unwritable_output_exit_code(tmp_path, capsys):
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran before the output path was checked")
+
+    # every subcommand refuses the path before any computation
+    monkeypatch.setattr("kcpd.cli._solve", no_engine)
     inp = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
     bad = str(tmp_path / "missing-dir" / "out")
     for argv in (
         ["segment", "--input", inp, "--dmax", "3", "--c1", "1", "--c2", "1", "--output", bad],
+        ["segment", "--input", inp, "--dmax", "3", "--output", str(tmp_path)],
         ["bench", "--grid", "100", "--algorithms", "exact", "--dmax", "3", "--output", bad],
         ["simulate", "--n", "50", "--output", bad],
         ["simulate", "--n", "50", "--output", str(tmp_path / "s.csv"), "--truth", bad],
     ):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error:") and bad in err
+        assert err.startswith("error:") and argv[-1] in err
         assert "Traceback" not in err
+    # the unwritable sidecar is refused before the signal is written
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["segment", "--input", "x.csv", "--x0", "abc"],
@@ -91,20 +101,25 @@ def test_csv_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.data, sig.data)
 
 
-def test_infeasible_configuration_exit_code(tmp_path):
+def test_infeasible_configuration_exit_code(tmp_path, capsys):
     p = _write(tmp_path / "short.csv", "\n".join(str(float(v)) for v in range(20)) + "\n")
     rc = main(["segment", "--input", p, "--dmax", "5", "--min-seg-len", "10"])
     assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "error: infeasible: 5 segments of length >= 10 need 50 points, signal has 20\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_kernel_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_overflowing_kernel_exit_code(tmp_path, capsys, algorithm):
     p = _write(tmp_path / "big.csv", "\n".join(["30.0", "-30.0"] * 50) + "\n")
-    rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "5"])
+    rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "5",
+               "--algorithm", algorithm])
     assert rc == EXIT_INFEASIBLE
     err = capsys.readouterr().err
-    assert err.startswith("error: ExponentialKernel(delta=1.0) gives a non-finite segment cost")
-    assert "Traceback" not in err
+    # one line, naming the kernel, what overflowed and the cure
+    what = {"exact": "segment cost", "lowrank-binseg": "landmark Gram matrix"}[algorithm]
+    assert err.startswith(f"error: ExponentialKernel(delta=1.0) gives a non-finite {what}")
+    assert "rescale the data" in err and err.count("\n") == 1
 
 
 def test_segment_roundtrip_exact(tmp_path, capsys):
@@ -242,9 +257,10 @@ def test_sum_kernel_cli(tmp_path):
 
 
 def test_build_kernel_families():
-    for fam in ("linear", "gaussian", "laplace", "exponential", "energy"):
+    for fam in _FAMILIES:  # the --kernel choices
         spec = build_kernel(fam, 1.0, 1.0, None, 1, "gaussian")
         assert spec.pair(0.5, 0.5) == pytest.approx(spec.pair(0.5, 0.5))
+        assert _kernel_doc(spec)["family"] == fam
     with pytest.raises(Exception):
         build_kernel("nope", 1.0, 1.0, None, 1, "gaussian")
 

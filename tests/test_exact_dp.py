@@ -453,7 +453,6 @@ def test_non_psd_kernels_scan_every_cell(spec):
     assert res.cells_scanned == _full_cells(n, dmax, 1)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_kernel_raises():
     x = np.tile([30.0, -30.0], 50)
     with pytest.raises(ValueError, match=r"ExponentialKernel\(delta=1\.0\).*column 2\b"):

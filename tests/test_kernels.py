@@ -91,6 +91,14 @@ def test_prefix_column_matches_cross(rng):
             got = fn(j, buf)
             want = spec.cross(X[:j].copy(), X[j])
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    # radial kernels: a block of Gram rows holds the prefix columns bitwise
+    for spec in (GaussianKernel(1.3), LaplaceKernel(0.7)):
+        fn = spec.prefix_column_fn(X)
+        buf = np.empty(30)
+        for j, B in ((1, 5), (10, 8), (22, 8)):
+            block = spec.gram(X[j : j + B], X)
+            for k in range(B):
+                np.testing.assert_array_equal(block[k, : j + k], fn(j + k, buf))
 
 
 def test_psd_spot_check(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kcpd import (
+    ExponentialKernel,
     GaussianKernel,
     LinearKernel,
     Signal,
@@ -97,6 +98,14 @@ def test_sum_kernel_blocks_concatenate(rng):
     assert emb2.Z.shape[0] <= 20
 
 
+def test_default_rule_is_stride_for_multivariate_signals(rng):
+    sig = Signal(random_signal(rng, 40, q=2))
+    emb = nystrom_embed(sig, GaussianKernel(1.0), p=10)
+    assert emb.rule == "stride"
+    np.testing.assert_array_equal(emb.Z, nystrom_embed(sig, GaussianKernel(1.0), p=10, rule="stride").Z)
+    assert nystrom_embed(Signal(random_signal(rng, 40)), GaussianKernel(1.0), p=10).rule == "grid"
+
+
 def test_grid_rule_needs_univariate():
     with pytest.raises(ValueError):
         nystrom_embed(Signal(np.zeros((10, 2)) + np.arange(10)[:, None]), GaussianKernel(1.0),
@@ -108,6 +117,20 @@ def test_degenerate_landmarks_rejected():
     sig = Signal(np.zeros(10))
     with pytest.raises(ValueError):
         nystrom_embed(sig, LinearKernel(), p=3, rule="stride")
+
+
+def test_overflowing_kernel_rejected():
+    sig = Signal(np.tile([800.0, -800.0], 10))
+    with pytest.raises(ValueError, match=r"ExponentialKernel\(delta=1\.0\) gives a non-finite landmark"):
+        nystrom_embed(sig, ExponentialKernel(1.0), p=4, rule="grid")
+    # finite landmark Gram, overflowing K(J, X)
+    with pytest.raises(ValueError, match="non-finite embedding.*rescale"):
+        nystrom_embed(sig, ExponentialKernel(1.0), points=[1.0])
+    # an overflowing child of a sum kernel is reported under the whole kernel
+    spec = SumKernel.per_coordinate([GaussianKernel(1.0), ExponentialKernel(1.0)])
+    with pytest.raises(ValueError) as err:
+        nystrom_embed(Signal(np.repeat(sig.data, 2, axis=1)), spec, p=4)
+    assert str(err.value).startswith(f"{spec!r} gives a non-finite landmark Gram matrix")
 
 
 def test_landmark_count_validation(rng):
