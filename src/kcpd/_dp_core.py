@@ -8,13 +8,14 @@ so that the cost of a segment [s, e) is
 
     cost(s, e) = sum_{i=s}^{e-1} diag[i] - (sum_{i=s}^{e-1} A[i]) / (e - s).
 
-The table minimisation prunes candidate starts for PSD kernels (SNIP, see
-the ``Snip`` class) and scans only the survivors. It forms the same float
-sums as the dense scan and keeps the first minimum, so L and back are
-bitwise those of the dense minimisation.
+The table minimisation (the ``Snip`` class) scans, for each segment count,
+the candidate starts s in [ell, e - ell]; for PSD kernels it keeps only the
+starts that SNIP pruning has not ruled out. It forms the same float sums
+as a full scan and keeps the first minimum, so L and back are bitwise
+those of the unpruned minimisation.
 
 Infeasible dynamic-programming cells hold the finite sentinel BIG rather
-than inf, so the slab sums L[r-1, s] + cost(s, e) and the ``Snip``
+than inf, so the candidate sums L[r-1, s] + cost(s, e) and the ``Snip``
 pruning thresholds derived from L stay finite: a comparison against an
 infeasible cell is an ordinary float comparison, and no inf - inf turns
 into a NaN.
@@ -63,23 +64,6 @@ def cost_column(A, diag, cbuf, e, ell):
     cbuf[:hi] = acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
 
 
-def dp_minimize(L, back, cbuf, e, ell, d_hi):
-    """Dense table update at column e for segment counts 2..d_hi.
-
-    L[D-1, e] = min over s in [ell, e - ell] of L[D-2, s] + cbuf[s]; the
-    first (smallest) s wins ties. Returns the slab of candidate values, or
-    None when there is nothing to minimise."""
-    hi = e - ell + 1
-    lo = ell
-    if d_hi < 2 or hi <= lo:
-        return None
-    slab = L[0 : d_hi - 1, lo:hi] + cbuf[lo:hi]
-    idx = np.argmin(slab, axis=1)
-    L[1:d_hi, e] = slab[np.arange(d_hi - 1), idx]
-    back[1:d_hi, e] = idx + lo
-    return slab
-
-
 def column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip):
     """One full sweep step: extend the column state to e, then update the
     loss table at column e.
@@ -111,21 +95,22 @@ def column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip):
 # s at every column e' >= e + ell, where e itself becomes a candidate; s can
 # never again be the (first) argmin of row r and is dropped from then on
 # (Maidstone, Hocking, Rigaill & Fearnhead, Stat. Comput. 2017). Every value
-# still compared is the same float sum the dense slab forms, so L and back
-# are bitwise those of the dense minimisation.
+# still compared is the same float sum a full scan forms, so L and back
+# are bitwise those of the unpruned minimisation.
 #
 # Row 1 (D = 2) never prunes: C(0, s) + C(s, e) <= C(0, e) = L[0, e]. It is
-# scanned as one contiguous slice. Rows 2.. keep flat, row-ordered lists of
-# surviving starts with L[r-1, s] cached beside them; starts newer than the
-# last compaction (the "tail") are scanned as a small dense block.
+# scanned as one contiguous slice. Rows 2.. may keep flat, row-ordered lists
+# of surviving starts with L[r-1, s] cached beside them; every start not in
+# the lists (from the "tail" on) is scanned as one block. With no lists the
+# tail is ell, so the block covers every start: that is the dense mode.
 
 # Every period of _PERIOD + ell - 1 columns the lists are compacted (dense
 # mode probes instead); prunes decided in the first _PERIOD columns of a
 # period take effect by its end, so only those columns test for them.
 _PERIOD = 16
-# a dense-mode probe switches to the lists when at most 1/_ENTER of the
-# cells of rows 2.. survive; a compaction falls back to the dense slab when
-# more than 1/_LEAVE would be kept (the lists' cap, counted in the tables)
+# a dense-mode probe builds lists when at most 1/_ENTER of the cells of
+# rows 2.. survive; a compaction drops the lists when more than 1/_LEAVE
+# would be kept (the lists' cap, counted in the tables)
 _ENTER = 8
 _LEAVE = 4
 # prune only when L[r-1, s] + C(s, e) exceeds L[r-1, e] by this relative
@@ -136,10 +121,10 @@ _REL_MARGIN = 2e-9
 class Snip:
     """Minimiser state for one exact sweep.
 
-    Dense until a probe finds few survivors, then sparse until the lists
-    grow past their cap; with ``prune`` False (kernels not known to be
-    PSD) it stays dense. ``scanned`` counts the (row, s) candidates
-    evaluated.
+    Starts with no lists (dense: every start scanned), builds lists when a
+    probe finds few survivors and drops them when they grow past their
+    cap; with ``prune`` False (kernels not known to be PSD) it never builds
+    any. ``scanned`` counts the (row, s) candidates evaluated.
     """
 
     def __init__(self, n: int, diag_sum: float, prune: bool):
@@ -150,7 +135,6 @@ class Snip:
         # error of any computed cost is below about 2 u n sum(diag). The
         # allowance covers the three costs in the pruning argument.
         self.tau = 8.0 * 2.0**-53 * (n + 4) * diag_sum
-        self.sparse = False
         self.pending = None  # (lists, column after which they take over)
         self._drop_lists()
 
@@ -164,7 +148,7 @@ class Snip:
     def _drop_lists(self):
         self.cs = self.lc = self.gone = self.counts = self.starts = None
         self.m = 0  # rows held in the lists: rows 2..m+1
-        self.tail = 0  # first start not yet in the lists
+        self.tail = 0  # first start not in the lists (scanned from ell on)
 
     def _cut(self, L, e, rows):
         # per-row pruning threshold for rows 2..rows+1
@@ -176,41 +160,40 @@ class Snip:
         lo, hi = ell, e - ell + 1
         if hi <= lo:
             return
-        period = _PERIOD + ell - 1
-        if not self.sparse:
-            slab = dp_minimize(L, back, cbuf, e, ell, d_hi)
-            self.scanned += slab.size
-            if self.pending is None and self.prune and d_hi >= 3 and e % period == 0:
-                self._probe(L, slab[1:], e, ell, lo, hi)
-            if self.pending is not None and e >= self.pending[1]:
-                self.sparse = True
-                self._set_lists(*self.pending[0])
-                self.pending = None
-            return
         v1 = L[0, lo:hi] + cbuf[lo:hi]
         i1 = int(v1.argmin())
         L[1, e] = v1[i1]
         back[1, e] = i1 + lo
-        # sparse mode holds lists for at least row 2, so d_hi >= 3
-        t0 = self.tail
+        t0 = max(self.tail, lo)
         tv = L[1 : d_hi - 1, t0:hi] + cbuf[t0:hi]
         best_s = tv.argmin(axis=1)
         best = tv.ravel().take(best_s + np.arange(0, tv.size, tv.shape[1]))
         best_s += t0
+        self.scanned += (hi - lo) + tv.size
         m = self.m
-        v = cbuf.take(self.cs)
-        v += self.lc
-        self.scanned += (hi - lo) + tv.size + v.size
-        mins = np.minimum.reduceat(v, self.starts)
-        hit = (v == mins.repeat(self.counts)).nonzero()[0]
-        first = hit[hit.searchsorted(self.starts)]
-        # list starts precede the tail, so they win ties
-        win = mins <= best[:m]
-        first = first[win]
-        best[:m][win] = v[first]
-        best_s[:m][win] = self.cs[first]
+        if m:
+            v = cbuf.take(self.cs)
+            v += self.lc
+            self.scanned += v.size
+            mins = np.minimum.reduceat(v, self.starts)
+            hit = (v == mins.repeat(self.counts)).nonzero()[0]
+            first = hit[hit.searchsorted(self.starts)]
+            # list starts precede the tail, so they win ties
+            win = mins <= best[:m]
+            first = first[win]
+            best[:m][win] = v[first]
+            best_s[:m][win] = self.cs[first]
         L[2:d_hi, e] = best
         back[2:d_hi, e] = best_s
+        period = _PERIOD + ell - 1
+        if not m:
+            # with no lists, tv holds rows 2.. over every start
+            if self.pending is None and self.prune and d_hi >= 3 and e % period == 0:
+                self._probe(L, tv, e, ell, lo, hi)
+            if self.pending is not None and e >= self.pending[1]:
+                self._set_lists(*self.pending[0])
+                self.pending = None
+            return
         # a start dominated at e may still win until e + ell - 1; the
         # compaction at the end of this period drops it
         if (-e) % period >= ell - 1:
@@ -246,7 +229,6 @@ class Snip:
         kept = np.add.reduceat(keep, self.starts, dtype=np.int64)
         kt = hi - self.tail
         if (int(kept.sum()) + nr * kt) * _LEAVE > nr * (hi - lo):
-            self.sparse = False
             self._drop_lists()
             return
         counts = np.zeros(nr, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Command-line interface: CSV in, JSON out, plus a benchmark harness.
 
-Exit codes: 0 on success, 2 for unreadable, undecodable or malformed
-input, an unwritable output path or a malformed flag value, 3 for an
+Exit codes: 0 on success, 2 for unreadable, undecodable, malformed or
+too-short input, an unwritable output path or a malformed flag value, 3 for an
 infeasible configuration. Reported change points are 1-based segment
 starts. Timing fields live under a separate "timing" key so that two runs
 with the same configuration and input produce byte-identical JSON once
@@ -92,12 +92,10 @@ def load_csv(path: str) -> Signal:
     return Signal(arr)
 
 
-def save_csv(signal: Signal, path: str, header: bool = False) -> None:
+def save_csv(signal: Signal, path: str) -> None:
+    text = "".join(",".join(map(repr, row)) + "\n" for row in signal.data.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(f"x{c}" for c in range(signal.q)) + "\n")
-        for row in signal.data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +116,8 @@ _FAMILIES = {
 def build_kernel(family: str, delta: float, alpha: float, x0, q: int, sum_child: str) -> KernelSpec:
     family = family.lower()
     if family == "sum":
+        if sum_child.lower() == "sum":
+            raise InfeasibleError(f"sum kernel child family {sum_child!r} cannot itself be a sum")
         child = build_kernel(sum_child, delta, alpha, None, 1, sum_child)
         return SumKernel.per_coordinate([child] * q)
     if family not in _FAMILIES:
@@ -178,7 +178,10 @@ def run_segment(
     check_feasible(signal.n, dmax, ell)
 
     if scale:
-        scaled, sigma = mad_scale(signal)
+        try:
+            scaled, sigma = mad_scale(signal)
+        except ValueError as exc:
+            raise InputError(f"{exc}; --no-scale skips the scaling") from exc
     else:
         scaled, sigma = signal, np.ones(signal.q)
 

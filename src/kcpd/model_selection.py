@@ -122,28 +122,17 @@ def slope_heuristic(losses: Sequence[float], n: int, ell: int = 1) -> SlopeFit:
 
     design = np.column_stack([np.ones_like(logc), ds.astype(np.float64), logc])
     cond = float(np.linalg.cond(design))
-    if cond <= COND_LIMIT:
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ beta
-        return SlopeFit(
-            c1=max(0.0, -2.0 * float(beta[1])),
-            c2=max(0.0, -2.0 * float(beta[2])),
-            window=(lo, dmax),
-            condition_number=cond,
-            residuals=resid,
-            combined_fallback=False,
-        )
-    design1 = np.column_stack([np.ones_like(logc), ds.astype(np.float64) + logc])
-    beta, *_ = np.linalg.lstsq(design1, y, rcond=None)
-    resid = y - design1 @ beta
-    c = max(0.0, -2.0 * float(beta[1]))
+    combined = cond > COND_LIMIT
+    if combined:
+        design = np.column_stack([np.ones_like(logc), ds.astype(np.float64) + logc])
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     return SlopeFit(
-        c1=c,
-        c2=c,
+        c1=max(0.0, -2.0 * float(beta[1])),
+        c2=max(0.0, -2.0 * float(beta[-1])),
         window=(lo, dmax),
         condition_number=cond,
-        residuals=resid,
-        combined_fallback=True,
+        residuals=y - design @ beta,
+        combined_fallback=combined,
     )
 
 

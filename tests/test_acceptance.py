@@ -308,6 +308,7 @@ def test_criterion_09_statistical_sanity(report):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_scaling_reproduction(report):
     """Quadratic exact path, linear low-rank path, and the n = 1e5 run."""
     grid = [4000, 8000, 16000]

@@ -12,6 +12,7 @@ from kcpd.cli import (
     EXIT_INPUT,
     EXIT_OK,
     _FAMILIES,
+    InfeasibleError,
     _bench_signal,
     _kernel_doc,
     build_kernel,
@@ -101,6 +102,14 @@ def test_csv_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.data, sig.data)
 
 
+def test_save_csv_text(tmp_path):
+    # shortest round-trip repr of each value, signed zero and subnormals included
+    sig = Signal([[-0.0, 0.1], [1 / 3, 5e-324], [1e16, 2.0]])
+    path = tmp_path / "sig.csv"
+    save_csv(sig, str(path))
+    assert path.read_bytes() == b"-0.0,0.1\n0.3333333333333333,5e-324\n1e+16,2.0\n"
+
+
 def test_infeasible_configuration_exit_code(tmp_path, capsys):
     p = _write(tmp_path / "short.csv", "\n".join(str(float(v)) for v in range(20)) + "\n")
     rc = main(["segment", "--input", p, "--dmax", "5", "--min-seg-len", "10"])
@@ -157,6 +166,16 @@ def test_dmax_one_single_segment(tmp_path):
     assert doc["per_d"][0]["change_points"] == [1]
     want = segment_cost_direct(Signal(x), GaussianKernel(1.0), 0, 40)
     assert doc["per_d"][0]["loss"] == pytest.approx(want, rel=1e-9)
+
+
+def test_too_short_to_scale_is_an_input_error(tmp_path, capsys):
+    inp = _write(tmp_path / "x.csv", "1.0\n2.0\n4.0\n")
+    argv = ["segment", "--input", inp, "--output", str(tmp_path / "r.json"),
+            "--dmax", "1", "--c1", "1", "--c2", "1"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least 4 time points") and "--no-scale" in err
+    assert main(argv + ["--no-scale"]) == EXIT_OK
 
 
 def test_deterministic_output_excluding_timing(tmp_path):
@@ -261,8 +280,11 @@ def test_build_kernel_families():
         spec = build_kernel(fam, 1.0, 1.0, None, 1, "gaussian")
         assert spec.pair(0.5, 0.5) == pytest.approx(spec.pair(0.5, 0.5))
         assert _kernel_doc(spec)["family"] == fam
-    with pytest.raises(Exception):
+    with pytest.raises(InfeasibleError, match="'nope'"):
         build_kernel("nope", 1.0, 1.0, None, 1, "gaussian")
+    # a sum of sums would recurse without end
+    with pytest.raises(InfeasibleError, match="child family 'sum'"):
+        build_kernel("sum", 1.0, 1.0, None, 2, "sum")
 
 
 def test_bench_rows_and_budget(capsys):

@@ -411,16 +411,28 @@ def test_forced_switches_keep_tables_bitwise(switch):
         _assert_same_tables(pruned, dense)
 
 
-@pytest.mark.parametrize("ell", [1, 5])
-def test_pruning_engages_on_mean_shifts(ell):
-    n, dmax = 2000, 50
-    rng = np.random.default_rng(2000 + ell)
-    x = rng.normal(size=n) + np.repeat(rng.uniform(-4, 4, 8), n // 8)
-    spec = GaussianKernel(1.0)
+# candidates scanned over the sweep: dp_cells_scanned is part of the CLI's JSON
+PINNED_CELLS = {1: 10433960, 5: 10711407, "2d-variance": 47241738}
+
+
+@pytest.mark.parametrize("case", [1, 5, "2d-variance"])
+def test_pruning_engages_on_mean_shifts(case):
+    if case == "2d-variance":
+        # mostly dense: it probes, builds short-lived lists and falls back to the full scan
+        n, dmax, ell, share = 3000, 12, 30, 1.0
+        rng = np.random.default_rng(3000)
+        x = rng.normal(size=(n, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), n // 10, axis=0)
+        spec = LaplaceKernel(1.0)
+    else:
+        n, dmax, ell, share = 2000, 50, case, 0.25
+        rng = np.random.default_rng(2000 + ell)
+        x = rng.normal(size=n) + np.repeat(rng.uniform(-4, 4, 8), n // 8)
+        spec = GaussianKernel(1.0)
     pruned = kernseg_exact(Signal(x), spec, dmax, ell)
     dense = kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell)
     _assert_same_tables(pruned, dense)
-    assert pruned.cells_scanned <= 0.25 * _full_cells(n, dmax, ell)
+    assert pruned.cells_scanned <= share * _full_cells(n, dmax, ell)
+    assert pruned.cells_scanned == PINNED_CELLS[case]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from kcpd import (
     select,
     slope_heuristic,
 )
+from kcpd import model_selection
 
 from conftest import enumerate_start_tuples
 
@@ -84,6 +85,21 @@ def test_slope_heuristic_recovers_affine_plant():
     assert fit.c1 == pytest.approx(2 * a, rel=1e-9, abs=1e-9)
     assert fit.c2 == pytest.approx(2 * b, rel=1e-9, abs=1e-9)
     assert fit.window == (12, 24)
+    assert np.abs(fit.residuals).max() <= 1e-6
+
+
+def test_slope_heuristic_combined_fallback(monkeypatch):
+    # every design is ill-conditioned at a zero limit: one slope for D + log N(D)
+    monkeypatch.setattr(model_selection, "COND_LIMIT", 0.0)
+    n, dmax, ell = 400, 24, 1
+    a = 1.7
+    ds = np.arange(1, dmax + 1)
+    logc = np.array([log_count_segmentations(n, int(d), ell) for d in ds])
+    losses = 1000.0 - a * (ds + logc)
+    fit = slope_heuristic(losses, n, ell)
+    assert fit.combined_fallback
+    assert fit.c1 == fit.c2
+    assert fit.c1 == pytest.approx(2 * a, rel=1e-9)
     assert np.abs(fit.residuals).max() <= 1e-6
 
 
