@@ -1,18 +1,12 @@
-"""Column recurrence and table minimisation of the exact segmenter.
+"""Table minimisation of the exact segmenter.
 
-The exact segmenter sweeps a right boundary e = 1..n, maintaining
-
-    A[i] = -k(X_i, X_i) + 2 * sum_{j=i}^{e-1} k(X_i, X_j)   for i < e,
-
-so that the cost of a segment [s, e) is
-
-    cost(s, e) = sum_{i=s}^{e-1} diag[i] - (sum_{i=s}^{e-1} A[i]) / (e - s).
-
-The table minimisation (the ``Snip`` class) scans, for each segment count,
-the candidate starts s in [ell, e - ell]; for PSD kernels it keeps only the
-starts that SNIP pruning has not ruled out. It forms the same float sums
-as a full scan and keeps the first minimum, so L and back are bitwise
-those of the unpruned minimisation.
+At each right boundary e of the sweep, :func:`column_step` takes the cost
+column C(s, e) from the sweep's :class:`~kcpd.exact_dp.CostColumnState`
+and updates the loss table: row r (D = r + 1 segments) takes the minimum
+over starts s in [ell, e - ell] of L[r-1, s] + C(s, e). For PSD kernels
+the ``Snip`` class scans only the starts that SNIP pruning has not ruled
+out. It forms the same float sums as a full scan and keeps the first
+minimum, so L and back are bitwise those of the unpruned minimisation.
 
 Infeasible dynamic-programming cells hold the finite sentinel BIG rather
 than inf, so the candidate sums L[r-1, s] + cost(s, e) and the ``Snip``
@@ -31,58 +25,23 @@ BIG = 1e300
 BIG_CUTOFF = 1e250
 
 
-def kahan_update(A, comp, kcol, m):
-    """A[:m] += 2 * kcol[:m] with Kahan compensation carried in comp."""
-    if m <= 0:
-        return
-    y = 2.0 * kcol[:m] - comp[:m]
-    t = A[:m] + y
-    comp[:m] = (t - A[:m]) - y
-    A[:m] = t
+def column_step(L, back, state, e, ell, dmax, snip):
+    """Update the loss table at column e, the right boundary ``state.end``.
 
-
-def extend_column(A, comp, diag, kcol, e):
-    """Move the column state to right boundary e (e >= 1).
-
-    ``kcol[:e-1]`` holds k(X_i, X_{e-1}); it is added twice to A[:e-1],
-    compensated, and the new entry A[e-1] starts at diag[e-1]."""
-    kahan_update(A, comp, kcol, e - 1)
-    A[e - 1] = diag[e - 1]
-    comp[e - 1] = 0.0
-
-
-def cost_column(A, diag, cbuf, e, ell):
-    """Fill cbuf[s] = cost(s, e) for all s in [0, e - ell]."""
-    # suffix sums are accumulated right to left so short segments never
-    # difference large running totals
-    hi = e - ell + 1
-    if hi <= 0:
-        return
-    acc_a = np.cumsum(A[e - 1 :: -1])
-    acc_d = np.cumsum(diag[e - 1 :: -1])
-    lens = np.arange(e, e - hi, -1, dtype=np.float64)
-    cbuf[:hi] = acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
-
-
-def column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip):
-    """One full sweep step: extend the column state to e, then update the
-    loss table at column e.
-
-    ``buf[:e-1]`` must hold the kernel column k(X_i, X_{e-1}) on entry for
-    e >= 2; on return it holds the cost column for [s, e). ``snip`` is the
-    sweep's :class:`Snip`."""
-    extend_column(A, comp, diag, buf, e)
+    The cost column is written into the state's scratch vector, which held
+    the kernel column of the last advance. ``snip`` is the sweep's
+    :class:`Snip`."""
     if e < ell:
         return
-    cost_column(A, diag, buf, e, ell)
-    L[0, e] = buf[0]
+    cbuf = state.cost_column(ell, state._buf)
+    L[0, e] = cbuf[0]
     # cost(0, e) sums every A[:e] and diag[:e], so a non-finite value
     # anywhere shows here; the caller reports it
-    if not math.isfinite(buf[0]):
+    if not math.isfinite(cbuf[0]):
         return
     d_hi = min(e // ell, dmax)
     if d_hi >= 2:
-        snip.minimize(L, back, buf, e, ell, d_hi)
+        snip.minimize(L, back, cbuf, e, ell, d_hi)
 
 
 # ---------------------------------------------------------------------------

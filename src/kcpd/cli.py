@@ -33,7 +33,7 @@ from .kernels import (
     mad_scale,
 )
 from .lowrank import binary_segmentation, embedding_table_bytes, nystrom_embed
-from .model_selection import PenaltySpec, SelectionResult, select, slope_heuristic
+from .model_selection import PenaltySpec, select, slope_heuristic
 from .simulate import FoldedPiece, NormalPiece, equally_spaced_changes, generate
 
 __all__ = ["main", "run_segment", "run_bench", "load_csv", "save_csv"]
@@ -175,7 +175,14 @@ def run_segment(
 ) -> dict:
     """Segment a signal end to end and return the JSON-ready document."""
     t0 = time.perf_counter()
-    check_feasible(signal.n, dmax, ell)
+    if (c1 is None) != (c2 is None):
+        raise InputError("--c1 and --c2 must be given together, or neither for the slope fit")
+    try:
+        check_feasible(signal.n, dmax, ell)
+    except ValueError as exc:
+        # with Dmax and the floor both at least 1, the signal is too short for them
+        hint = "; lower --dmax or --min-seg-len" if min(dmax, ell) >= 1 else ""
+        raise InfeasibleError(f"{exc}{hint}") from exc
 
     if scale:
         try:
@@ -190,7 +197,7 @@ def run_segment(
     segmentations = [segmentation(d) for d in range(1, dmax + 1)]
 
     fit = None
-    if c1 is None or c2 is None:
+    if c1 is None:
         try:
             fit = slope_heuristic(losses, signal.n, ell)
         except ValueError as exc:
@@ -198,8 +205,7 @@ def run_segment(
         pen = PenaltySpec(fit.c1, fit.c2, signal.n, dmax, ell)
     else:
         pen = PenaltySpec(c1, c2, signal.n, dmax, ell)
-    sel: SelectionResult = select(losses, pen, segmentations, slope_fit=fit,
-                                    approximate_losses=lowrank_doc is not None)
+    sel = select(losses, pen)
     wall = time.perf_counter() - t0
 
     doc = {
@@ -225,11 +231,11 @@ def run_segment(
         ],
         "selection": {
             "d_hat": sel.d_hat,
-            "change_points": list(sel.segmentation.starts),
+            "change_points": list(segmentations[sel.d_hat - 1].starts),
             "c1": sel.c1,
             "c2": sel.c2,
             "method": "slope-heuristic" if fit is not None else "fixed",
-            "approximate_losses_warning": sel.approximate_losses,
+            "approximate_losses_warning": lowrank_doc is not None,
         },
         "diagnostics": {
             "peak_table_bytes": table_bytes,

@@ -109,10 +109,17 @@ def segment_cost_direct(signal, spec: KernelSpec, start: int, end: int) -> float
 class CostColumnState:
     """Iterative state giving every segment cost with right boundary ``end``.
 
-    ``A[i]`` holds -k(X_i, X_i) + 2 sum_{j=i}^{end-1} k(X_i, X_j) for
-    i < end, with a Kahan compensation array carried alongside; ``diag``
-    holds k(X_i, X_i) so running suffix sums of both arrays give the cost
-    of [s, end) in one right-to-left sweep.
+    For i < end the state holds
+
+        A[i] = -k(X_i, X_i) + 2 * sum_{j=i}^{end-1} k(X_i, X_j),
+
+    updated with a Kahan compensation array ``comp`` carried alongside, and
+    ``diag[i]`` = k(X_i, X_i), so that the cost of a segment [s, end) is
+
+        cost(s, end) = sum_{i=s}^{end-1} diag[i] - (sum_{i=s}^{end-1} A[i]) / (end - s),
+
+    and suffix sums of both arrays give every cost in one right-to-left
+    sweep. :func:`kernseg_exact` runs on this state.
     """
 
     signal: Signal
@@ -122,7 +129,10 @@ class CostColumnState:
     comp: np.ndarray
     diag: np.ndarray
     _column_fn: object = field(repr=False, default=None)
-    _kcol: np.ndarray = field(repr=False, default=None)
+    # scratch of n + 1 floats, as kernseg_table_bytes counts it: the kernel
+    # column in ``advance``, then the cost column when the sweep passes it
+    # as ``out``
+    _buf: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def initial(cls, signal, spec: KernelSpec) -> "CostColumnState":
@@ -131,43 +141,54 @@ class CostColumnState:
         spec.check_dim(sig.q)
         n = sig.n
         A = np.zeros(n)
-        comp = np.zeros(n)
         diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
-        kcol = np.empty(n)
-        _dp_core.extend_column(A, comp, diag, kcol, 1)
+        A[0] = diag[0]
         return cls(
             signal=sig,
             spec=spec,
             end=1,
             A=A,
-            comp=comp,
+            comp=np.zeros(n),
             diag=diag,
             _column_fn=spec.prefix_column_fn(sig.data),
-            _kcol=kcol,
+            _buf=np.empty(n + 1),
         )
 
     def advance(self) -> "CostColumnState":
         """Advance to end + 1 in place, returning self.
 
-        Adds 2 k(X_i, X_end) to A[i] for all i < end and starts the new
-        entry at its self-similarity value. O(end) kernel evaluations.
+        Adds 2 k(X_i, X_end) to A[i] for all i < end, compensated, and
+        starts the new entry at its self-similarity value. O(end) kernel
+        evaluations.
         """
         e = self.end
         if e >= self.signal.n:
             raise IndexError(f"state already at the last column (end={e})")
-        self._column_fn(e, self._kcol)
-        _dp_core.extend_column(self.A, self.comp, self.diag, self._kcol, e + 1)
+        A, comp, kcol = self.A, self.comp, self._buf
+        self._column_fn(e, kcol)
+        y = 2.0 * kcol[:e] - comp[:e]
+        t = A[:e] + y
+        comp[:e] = (t - A[:e]) - y
+        A[:e] = t
+        A[e] = self.diag[e]
+        comp[e] = 0.0
         self.end = e + 1
         return self
 
     def cost_column(self, ell: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-        """Costs of [s, end) for s = 0..end-ell, as a vector."""
+        """Costs of [s, end) for s = 0..end-ell, as a vector (a view of
+        ``out`` when given)."""
         e = self.end
         hi = e - ell + 1
         if hi <= 0:
             return np.empty(0)
-        buf = np.empty(e) if out is None else out
-        _dp_core.cost_column(self.A, self.diag, buf, e, ell)
+        # suffix sums are accumulated right to left so short segments never
+        # difference large running totals
+        acc_a = np.cumsum(self.A[e - 1 :: -1])
+        acc_d = np.cumsum(self.diag[e - 1 :: -1])
+        lens = np.arange(e, e - hi, -1, dtype=np.float64)
+        buf = np.empty(hi) if out is None else out
+        buf[:hi] = acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
         return buf[:hi]
 
     def cost(self, start: int) -> float:
@@ -255,12 +276,13 @@ def overflow_error(spec: KernelSpec, what: str) -> ValueError:
 def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult:
     """Optimal segmentations for every D = 1..dmax under a length floor.
 
-    Runs the column recurrence and the dynamic-programming update in one
-    sweep: O(dmax * n^2) time dominated by kernel evaluations, O(dmax * n)
-    memory. ``ell`` is the minimum number of points per segment. For a
-    kernel with ``psd`` set, the minimiser drops candidate starts that
-    provably cannot win (SNIP pruning); the tables are bitwise those of the
-    dense minimisation either way.
+    Runs the column recurrence of :class:`CostColumnState` and the
+    dynamic-programming update in one sweep: O(dmax * n^2) time dominated
+    by kernel evaluations, O(dmax * n) memory. ``ell`` is the minimum
+    number of points per segment. For a kernel with ``psd`` set, the
+    minimiser drops candidate starts that provably cannot win (SNIP
+    pruning); the tables are bitwise those of the dense minimisation
+    either way.
 
     Raises ValueError if the kernel yields non-finite segment costs.
     """
@@ -268,26 +290,19 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     spec.check_dim(sig.q)
     n = sig.n
     check_feasible(n, dmax, ell)
-    X = sig.data
 
     L = np.full((dmax, n + 1), BIG)
     back = np.zeros((dmax, n + 1), dtype=np.int32) if dmax > 1 else None
-    A = np.zeros(n)
-    comp = np.zeros(n)
-    diag = np.ascontiguousarray(spec.diag(X), dtype=np.float64)
-    # one scratch vector serves both the kernel column (consumed by the
-    # compensated update) and, afterwards, the cost column
-    buf = np.empty(n + 1)
-    snip = _dp_core.Snip(n, float(diag.sum()), spec.psd)
-    column_fn = spec.prefix_column_fn(X)
+    state = CostColumnState.initial(sig, spec)
+    snip = _dp_core.Snip(n, float(state.diag.sum()), spec.psd)
 
     # an overflowing kernel trips numpy warnings on its way to the
     # non-finite cost that the guard below reports
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(1, n + 1):
             if e >= 2:
-                column_fn(e - 1, buf)
-            _dp_core.column_step(L, back, A, comp, diag, buf, e, ell, dmax, snip)
+                state.advance()
+            _dp_core.column_step(L, back, state, e, ell, dmax, snip)
             if not math.isfinite(L[0, e]):
                 raise overflow_error(spec, f"segment cost at column {e}")
 

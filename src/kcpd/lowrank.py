@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_dp import Segmentation, check_feasible, overflow_error
+from .exact_dp import Segmentation, _validate_range, check_feasible, overflow_error
 from .kernels import KernelSpec, SumKernel, as_signal
 
 __all__ = [
@@ -164,8 +164,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
 
 def embedded_segment_cost(emb: Embedding, start: int, end: int) -> float:
     """Cost of [start, end) in the embedded space, O(rank) time."""
-    if not (0 <= start < end <= emb.n):
-        raise IndexError(f"segment [{start}, {end}) out of range for n={emb.n}")
+    _validate_range(emb.n, start, end)
     mean_part = emb.prefix_sum[end] - emb.prefix_sum[start]
     return float(
         emb.prefix_sqnorm[end] - emb.prefix_sqnorm[start]
@@ -193,8 +192,7 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     Scans split points leaving at least ``ell`` points on each side;
     smallest split index wins ties. O(rank * (end - start)) time.
     """
-    if not (0 <= start < end <= emb.n):
-        raise IndexError(f"segment [{start}, {end}) out of range for n={emb.n}")
+    _validate_range(emb.n, start, end)
     lo = start + ell
     hi = end - ell + 1
     if hi <= lo:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_dp import Segmentation, check_feasible
+from .exact_dp import check_feasible
 
 __all__ = [
     "PenaltySpec",
@@ -141,23 +141,14 @@ class SelectionResult:
     """Outcome of the penalized search over D."""
 
     d_hat: int
-    segmentation: Segmentation | None
     losses: np.ndarray
     penalties: np.ndarray
     criterion: np.ndarray
     c1: float
     c2: float
-    slope_fit: SlopeFit | None = None
-    approximate_losses: bool = False  # set when losses come from a heuristic path
 
 
-def select(
-    losses: Sequence[float],
-    spec: PenaltySpec,
-    segmentations: Sequence[Segmentation] | None = None,
-    slope_fit: SlopeFit | None = None,
-    approximate_losses: bool = False,
-) -> SelectionResult:
+def select(losses: Sequence[float], spec: PenaltySpec) -> SelectionResult:
     """Pick D minimizing loss + penalty; smaller D wins ties.
 
     ``losses[d-1]`` must cover d = 1..spec.dmax (inf marks infeasible d).
@@ -171,17 +162,11 @@ def select(
         raise ValueError("no feasible number of segments")
     crit_for_argmin = np.where(np.isnan(crit), math.inf, crit)
     d_hat = int(np.argmin(crit_for_argmin)) + 1
-    seg = None
-    if segmentations is not None:
-        seg = segmentations[d_hat - 1]
     return SelectionResult(
         d_hat=d_hat,
-        segmentation=seg,
         losses=losses,
         penalties=pens,
         criterion=crit,
         c1=spec.c1,
         c2=spec.c2,
-        slope_fit=slope_fit,
-        approximate_losses=approximate_losses,
     )

@@ -111,11 +111,28 @@ def test_save_csv_text(tmp_path):
 
 
 def test_infeasible_configuration_exit_code(tmp_path, capsys):
-    p = _write(tmp_path / "short.csv", "\n".join(str(float(v)) for v in range(20)) + "\n")
-    rc = main(["segment", "--input", p, "--dmax", "5", "--min-seg-len", "10"])
-    assert rc == EXIT_INFEASIBLE
-    assert capsys.readouterr().err == (
-        "error: infeasible: 5 segments of length >= 10 need 50 points, signal has 20\n")
+    hint = "; lower --dmax or --min-seg-len"
+    for rows, flags, line in (
+        (20, ["--dmax", "5", "--min-seg-len", "10"],
+         "infeasible: 5 segments of length >= 10 need 50 points, signal has 20" + hint),
+        # default flags: Dmax = 100 and a floor of 1
+        (50, [], "infeasible: 100 segments of length >= 1 need 100 points, signal has 50" + hint),
+        # no hint where lowering --dmax is not the fix
+        (20, ["--dmax", "0"], "Dmax must be at least 1, got 0"),
+    ):
+        p = _write(tmp_path / "short.csv", "\n".join(str(float(v)) for v in range(rows)) + "\n")
+        rc = main(["segment", "--input", p, *flags])
+        assert rc == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_one_penalty_constant_is_an_input_error(tmp_path, capsys):
+    p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
+    for flag in ("--c1", "--c2"):
+        rc = main(["segment", "--input", p, "--dmax", "10", flag, "1000"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--c1" in err and "--c2" in err
 
 
 @pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
