@@ -177,6 +177,9 @@ def run_segment(
     t0 = time.perf_counter()
     if (c1 is None) != (c2 is None):
         raise InputError("--c1 and --c2 must be given together, or neither for the slope fit")
+    for flag, value in (("--c1", c1), ("--c2", c2)):
+        if value is not None and not 0 <= value < math.inf:
+            raise InputError(f"{flag} must be a finite nonnegative number, got {value!r}")
     try:
         check_feasible(signal.n, dmax, ell)
     except ValueError as exc:

@@ -133,6 +133,9 @@ class CostColumnState:
     # column in ``advance``, then the cost column when the sweep passes it
     # as ``out``
     _buf: np.ndarray = field(repr=False, default=None)
+    # diag is 1.0 everywhere (Gaussian, Laplace): its suffix sums are the
+    # segment lengths, exact integers, so cost_column need not form them
+    _unit_diag: bool = field(repr=False, default=False)
 
     @classmethod
     def initial(cls, signal, spec: KernelSpec) -> "CostColumnState":
@@ -152,6 +155,7 @@ class CostColumnState:
             diag=diag,
             _column_fn=spec.prefix_column_fn(sig.data),
             _buf=np.empty(n + 1),
+            _unit_diag=bool((diag == 1.0).all()),
         )
 
     def advance(self) -> "CostColumnState":
@@ -164,32 +168,47 @@ class CostColumnState:
         e = self.end
         if e >= self.signal.n:
             raise IndexError(f"state already at the last column (end={e})")
-        A, comp, kcol = self.A, self.comp, self._buf
-        self._column_fn(e, kcol)
-        y = 2.0 * kcol[:e] - comp[:e]
-        t = A[:e] + y
-        comp[:e] = (t - A[:e]) - y
-        A[:e] = t
-        A[e] = self.diag[e]
-        comp[e] = 0.0
+        A, comp = self.A, self.comp
+        # Kahan step y = 2 k - comp, t = A + y, comp' = (t - A) - y, A' = t,
+        # in place: y in the kernel column's scratch, t in comp and comp' in
+        # A, then the two arrays swap names
+        self._column_fn(e, self._buf)
+        y = self._buf[:e]
+        y *= 2.0
+        y -= comp[:e]
+        t = np.add(A[:e], y, out=comp[:e])
+        c = np.subtract(t, A[:e], out=A[:e])
+        c -= y
+        self.A, self.comp = comp, A
+        self.A[e] = self.diag[e]
+        self.comp[e] = 0.0
         self.end = e + 1
         return self
 
     def cost_column(self, ell: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-        """Costs of [s, end) for s = 0..end-ell, as a vector (a view of
-        ``out`` when given)."""
+        """Costs of [s, end) for s = 0..end-ell, as a vector.
+
+        When given, ``out`` must hold at least ``end`` floats: it receives
+        the suffix sums of A first, and the result is a view of it.
+        """
         e = self.end
+        if out is None:
+            out = np.empty(e)
+        elif out.shape[0] < e:
+            raise ValueError(f"cost column buffer holds {out.shape[0]} floats, needs end={e}")
         hi = e - ell + 1
         if hi <= 0:
             return np.empty(0)
         # suffix sums are accumulated right to left so short segments never
         # difference large running totals
-        acc_a = np.cumsum(self.A[e - 1 :: -1])
-        acc_d = np.cumsum(self.diag[e - 1 :: -1])
+        np.cumsum(self.A[e - 1 :: -1], out=out[e - 1 :: -1])
         lens = np.arange(e, e - hi, -1, dtype=np.float64)
-        buf = np.empty(hi) if out is None else out
-        buf[:hi] = acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
-        return buf[:hi]
+        col = out[:hi]
+        col /= lens
+        if self._unit_diag:
+            return np.subtract(lens, col, out=col)
+        acc_d = np.cumsum(self.diag[e - 1 :: -1])
+        return np.subtract(acc_d[e - hi : e][::-1], col, out=col)
 
     def cost(self, start: int) -> float:
         """Cost of the single segment [start, end)."""

@@ -83,9 +83,24 @@ def _sq_dist_col(X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
     # ||X[i] - y||^2 by direct differencing; unlike the norm-expansion trick
     # this has no cancellation, so coincident points give exactly zero and
     # sqrt does not amplify any residue
-    d = X - y
-    np.multiply(d, d, out=d)
-    return d.sum(axis=1, out=out)
+    q = X.shape[1]
+    if q >= 8:
+        d = X - y
+        np.multiply(d, d, out=d)
+        return d.sum(axis=1, out=out)
+    # numpy's pairwise sum adds fewer than 8 terms left to right, so adding
+    # the squared coordinates one at a time gives the same bits without the
+    # per-row reduction over a short axis
+    out = np.empty(X.shape[0]) if out is None else out
+    np.subtract(X[:, 0], y[0], out=out)
+    np.multiply(out, out, out=out)
+    if q > 1:
+        t = np.empty(X.shape[0])
+        for c in range(1, q):
+            np.subtract(X[:, c], y[c], out=t)
+            np.multiply(t, t, out=t)
+            out += t
+    return out
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:

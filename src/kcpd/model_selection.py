@@ -69,8 +69,8 @@ class PenaltySpec:
     ell: int = 1
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("penalty constants must be nonnegative")
+        if not (0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf):
+            raise ValueError("penalty constants must be finite and nonnegative")
         check_feasible(self.n, self.dmax, self.ell)
 
 

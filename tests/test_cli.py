@@ -135,6 +135,20 @@ def test_one_penalty_constant_is_an_input_error(tmp_path, capsys):
         assert err.startswith("error:") and "--c1" in err and "--c2" in err
 
 
+def test_bad_penalty_constant_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran before the penalty constants were checked")
+
+    monkeypatch.setattr("kcpd.cli._solve", no_engine)
+    p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
+    for c1, c2, bad in (("-1", "1", "--c1"), ("nan", "1", "--c1"), ("1", "inf", "--c2")):
+        rc = main(["segment", "--input", p, "--dmax", "10", "--c1", c1, "--c2", c2])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} must be a finite nonnegative number")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
 def test_overflowing_kernel_exit_code(tmp_path, capsys, algorithm):
     p = _write(tmp_path / "big.csv", "\n".join(["30.0", "-30.0"] * 50) + "\n")

@@ -136,6 +136,62 @@ def test_advance_past_end_rejected():
         advance_column(state)
 
 
+def _reference_advance(A, comp, diag, kcol, e):
+    # the compensated update in its plain form, with temporaries
+    y = 2.0 * kcol[:e] - comp[:e]
+    t = A[:e] + y
+    comp[:e] = (t - A[:e]) - y
+    A[:e] = t
+    A[e], comp[e] = diag[e], 0.0
+
+
+def _reference_cost_column(A, diag, e, ell):
+    hi = e - ell + 1
+    acc_a = np.cumsum(A[e - 1 :: -1])
+    acc_d = np.cumsum(diag[e - 1 :: -1])
+    lens = np.arange(e, e - hi, -1, dtype=np.float64)
+    return acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
+
+
+@pytest.mark.parametrize("spec, unit", [
+    (GaussianKernel(1.0), True),
+    (LaplaceKernel(0.7), True),
+    (SumKernel((((0, 1), GaussianKernel(2.0)),)), True),
+    (EnergyKernel(1.0), False),
+    (EnergyKernel(0.5, (0.3, -0.2)), False),
+    (LinearKernel(), False),
+    (ExponentialKernel(4.0), False),
+    (SumKernel((((0,), GaussianKernel(1.0)), ((1,), LaplaceKernel(1.0)))), False),
+])
+def test_column_state_is_bitwise_the_reference_formulas(rng, spec, unit):
+    X = random_signal(rng, 50, q=2)
+    state = CostColumnState.initial(Signal(X), spec)
+    assert state._unit_diag is unit
+    diag = spec.diag(X)
+    A, comp = np.zeros(50), np.zeros(50)
+    A[0] = diag[0]
+    fn, kcol = spec.prefix_column_fn(X), np.empty(50)
+    for e in range(1, 51):
+        if e > 1:
+            fn(e - 1, kcol)
+            _reference_advance(A, comp, diag, kcol, e - 1)
+            advance_column(state)
+        assert state.A[:e].tobytes() == A[:e].tobytes()
+        assert state.comp[:e].tobytes() == comp[:e].tobytes()
+        for ell in range(1, min(5, e) + 1):
+            got = state.cost_column(ell, state._buf)
+            assert got.tobytes() == _reference_cost_column(A, diag, e, ell).tobytes()
+
+
+def test_cost_column_needs_end_floats():
+    state = CostColumnState.initial(Signal(np.arange(6.0)), GaussianKernel(1.0))
+    for _ in range(4):
+        advance_column(state)
+    assert state.cost_column(1, np.empty(5)).shape == (5,)
+    with pytest.raises(ValueError, match="holds 4 floats, needs end=5"):
+        state.cost_column(1, np.empty(4))
+
+
 # ---------------------------------------------------------------------------
 # exact dynamic programming
 
@@ -272,6 +328,31 @@ def test_naive_matches_kernseg(rng):
         a = naive_dp(sig, spec, dmax)
         b = kernseg_exact(sig, spec, dmax)
         assert _rel_err(a.losses(), b.losses()).max() <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    q=st.sampled_from([1, 2, 9]),
+    family=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_equals_naive_and_enumeration(n, q, family, seed):
+    # an oracle independent of the column recurrence: explicit Gram blocks
+    spec = [
+        LinearKernel(),
+        GaussianKernel(1.0),
+        LaplaceKernel(1.0),
+        ExponentialKernel(4.0),
+        EnergyKernel(1.0),
+        SumKernel.per_coordinate(([LaplaceKernel(1.0), EnergyKernel(0.5)] * q)[:q]),
+    ][family]
+    sig = Signal(random_signal(np.random.default_rng(seed), n, q=q))
+    dmax = min(n, 6)
+    got = kernseg_exact(sig, spec, dmax).losses()
+    assert _rel_err(got, naive_dp(sig, spec, dmax).losses()).max() <= 1e-9
+    want = [best_by_enumeration(sig, spec, d)[0] for d in range(1, dmax + 1)]
+    assert _rel_err(got, np.array(want)).max() <= 1e-9
 
 
 def test_naive_cap():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpd import (
     EnergyKernel,
@@ -18,6 +20,7 @@ from kcpd import (
     evaluate,
     mad_scale,
 )
+from kcpd.kernels import _sq_dist_col
 
 ALL_FAMILIES = [
     LinearKernel(),
@@ -79,12 +82,18 @@ def test_cross_and_gram_match_pointwise(rng):
 
 
 def test_prefix_column_matches_cross(rng):
-    X = rng.normal(size=(30, 2))
+    # q < 8 and q >= 8 take the two branches of the squared-distance routine
+    for q in (1, 2, 3, 7, 8, 9):
+        _check_prefix_columns(rng.normal(size=(30, q)))
+
+
+def _check_prefix_columns(X):
+    q = X.shape[1]
     for spec in ALL_FAMILIES:
         if isinstance(spec, SumKernel):
-            spec = SumKernel.per_coordinate([GaussianKernel(1.0), LinearKernel()])
+            spec = SumKernel.per_coordinate(([GaussianKernel(1.0), LinearKernel()] * q)[:q])
         elif isinstance(spec, EnergyKernel) and spec.x0 is not None:
-            spec = EnergyKernel(spec.alpha, (0.3, -0.2))
+            spec = EnergyKernel(spec.alpha, tuple(np.linspace(-0.2, 0.3, q)))
         fn = spec.prefix_column_fn(X)
         buf = np.empty(30)
         for j in (1, 7, 29):
@@ -99,6 +108,35 @@ def test_prefix_column_matches_cross(rng):
             block = spec.gram(X[j : j + B], X)
             for k in range(B):
                 np.testing.assert_array_equal(block[k, : j + k], fn(j + k, buf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 5, 31, 200]),
+    q=st.integers(1, 12),
+    scale_exp=st.sampled_from([-8, -3, 0, 3, 40, 150]),
+    rounded=st.booleans(),
+    y_from_x=st.booleans(),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sq_dist_col_is_bitwise_the_axis_sum(n, q, scale_exp, rounded, y_from_x, strided, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, q))
+    y = rng.normal(size=q)
+    if rounded:
+        # ties and exact zeros
+        X, y = np.round(2 * X) / 2, np.round(2 * y) / 2
+    if y_from_x and n:
+        y = X[n // 2].copy()
+    X, y = X * 10.0**scale_exp, y * 10.0**scale_exp
+    want = ((X - y) ** 2).sum(axis=1)
+    # a column of a C-ordered block, as _sq_dists passes it
+    out = np.empty((n, 3))[:, 1] if strided else None
+    got = _sq_dist_col(X, y, out)
+    assert got.tobytes() == want.tobytes()
+    if strided:
+        assert out.tobytes() == want.tobytes()
 
 
 def test_psd_spot_check(rng):

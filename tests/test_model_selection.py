@@ -55,6 +55,13 @@ def test_penalty_basics():
     assert penalty(11, spec10) == math.inf
 
 
+def test_penalty_constants_must_be_finite_and_nonnegative():
+    for c1, c2 in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PenaltySpec(c1, c2, 100, 10)
+    PenaltySpec(0.0, 0.0, 100, 10)
+
+
 def test_penalty_ell_one_equals_unconstrained_form():
     spec = PenaltySpec(c1=0.7, c2=1.3, n=500, dmax=40, ell=1)
     for d in range(1, 41):
