@@ -42,6 +42,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
+# landmark count of the fast path when none is given
+LANDMARKS = 100
+# change points in the benchmark signal, which so needs one point more than that
+_BENCH_CHANGES = 9
+
 
 class InputError(Exception):
     pass
@@ -142,9 +147,10 @@ def _kernel_doc(spec: KernelSpec) -> dict:
 
 
 def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int,
-           landmarks: int, rule: str | None):
+           landmarks: int | None, rule: str | None):
     """Run one engine on an already scaled signal.
 
+    ``landmarks`` None means the fast path's default count, LANDMARKS.
     Returns (losses, segmentation, table bytes, cells scanned, low-rank doc).
     ``segmentation(d)`` backtracks on demand, so timing the engine never does;
     cells scanned is None on the low-rank path, the doc None on the exact one.
@@ -153,7 +159,8 @@ def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int
         res = kernseg_exact(signal, spec, dmax, ell)
         return res.losses(), res.backtrack, int(res.table_numbers * 8), res.cells_scanned, None
     if algorithm == "lowrank-binseg":
-        emb = nystrom_embed(signal, spec, p=min(landmarks, signal.n), rule=rule)
+        p = LANDMARKS if landmarks is None else landmarks
+        emb = nystrom_embed(signal, spec, p=min(p, signal.n), rule=rule)
         bres = binary_segmentation(emb, dmax, ell)
         doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": emb.rule, "exhausted": bres.exhausted}
         return (bres.losses, lambda d: bres.segmentations[d - 1],
@@ -168,7 +175,7 @@ def run_segment(
     dmax: int = 100,
     ell: int = 1,
     scale: bool = True,
-    landmarks: int = 100,
+    landmarks: int | None = None,
     landmark_rule: str | None = None,
     c1: float | None = None,
     c2: float | None = None,
@@ -255,15 +262,15 @@ def run_segment(
 
 
 def _bench_signal(n: int, seed: int) -> Signal:
-    changes = equally_spaced_changes(n, 9)
-    specs = [[NormalPiece(float(k % 4), 1.0)] for k in range(10)]
+    changes = equally_spaced_changes(n, _BENCH_CHANGES)
+    specs = [[NormalPiece(float(k % 4), 1.0)] for k in range(_BENCH_CHANGES + 1)]
     return generate(n, changes, specs, seed=seed).signal
 
 
 def run_bench(
     grid: list[int],
     algorithms: list[str],
-    p: int = 100,
+    p: int = LANDMARKS,
     p_rule: str = "fixed",
     dmax: int = 100,
     ell: int = 1,
@@ -278,6 +285,10 @@ def run_bench(
     """
     if sorted(grid) != list(grid):
         raise InfeasibleError("benchmark grid must be sorted ascending")
+    if grid and grid[0] <= _BENCH_CHANGES:
+        raise InfeasibleError(f"benchmark grid length {grid[0]} is too short: the benchmark signal "
+                              f"has {_BENCH_CHANGES} changes, so each length must be at least "
+                              f"{_BENCH_CHANGES + 1}")
     spec = GaussianKernel(1.0)
     # untimed warm-up so first-call and cache effects stay out of the
     # measured cells; 16 * ell points fit min(dmax, 16) segments of length ell,
@@ -340,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--dmax", type=int, default=100)
     seg.add_argument("--min-seg-len", type=int, default=1,
                      help="minimum points per segment (30 mirrors a common default)")
-    seg.add_argument("--landmarks", type=int, default=100, help="landmark count for the fast path")
+    seg.add_argument("--landmarks", type=int, default=None,
+                     help=f"landmark count for the fast path (default {LANDMARKS})")
     seg.add_argument("--landmark-rule", default=None, choices=["grid", "stride"])
     seg.add_argument("--no-scale", action="store_true", help="skip robust per-coordinate scaling")
     seg.add_argument("--c1", type=float, default=None)
@@ -362,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--grid", type=_comma_list(int), required=True,
                      help="comma-separated signal lengths, ascending")
     ben.add_argument("--algorithms", type=_comma_list(str), default="exact,lowrank-binseg")
-    ben.add_argument("--landmarks", type=int, default=100)
+    ben.add_argument("--landmarks", type=int, default=LANDMARKS)
     ben.add_argument("--p-rule", default="fixed", choices=["fixed", "sqrt"])
     ben.add_argument("--dmax", type=int, default=100)
     ben.add_argument("--min-seg-len", type=int, default=1)
@@ -392,7 +404,7 @@ def _check_writable(*paths: str | None) -> None:
 def _cmd_segment(args) -> int:
     signal = load_csv(args.input)
     spec = build_kernel(args.kernel, args.delta, args.alpha, args.x0, signal.q, args.sum_child)
-    if args.algorithm == "exact" and (args.landmarks != 100 or args.landmark_rule is not None):
+    if args.algorithm == "exact" and (args.landmarks is not None or args.landmark_rule is not None):
         print("note: landmark options are ignored on the exact path", file=sys.stderr)
     doc = run_segment(
         signal,

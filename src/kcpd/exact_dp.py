@@ -296,8 +296,9 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     """Optimal segmentations for every D = 1..dmax under a length floor.
 
     Runs the column recurrence of :class:`CostColumnState` and the
-    dynamic-programming update in one sweep: O(dmax * n^2) time dominated
-    by kernel evaluations, O(dmax * n) memory. ``ell`` is the minimum
+    dynamic-programming update in one sweep: O(dmax * n^2) time, most of
+    it in the minimisation over candidate starts rather than in kernel
+    evaluations, and O(dmax * n) memory. ``ell`` is the minimum
     number of points per segment. For a kernel with ``psd`` set, the
     minimiser drops candidate starts that provably cannot win (SNIP
     pruning); the tables are bitwise those of the dense minimisation

@@ -79,38 +79,38 @@ def _point(x) -> np.ndarray:
     return v
 
 
-def _sq_dist_col(X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # ||X[i] - y||^2 by direct differencing; unlike the norm-expansion trick
-    # this has no cancellation, so coincident points give exactly zero and
-    # sqrt does not amplify any residue
-    q = X.shape[1]
-    if q >= 8:
-        d = X - y
-        np.multiply(d, d, out=d)
-        return d.sum(axis=1, out=out)
-    # numpy's pairwise sum adds fewer than 8 terms left to right, so adding
-    # the squared coordinates one at a time gives the same bits without the
-    # per-row reduction over a short axis
-    out = np.empty(X.shape[0]) if out is None else out
-    np.subtract(X[:, 0], y[0], out=out)
-    np.multiply(out, out, out=out)
-    if q > 1:
-        t = np.empty(X.shape[0])
-        for c in range(1, q):
-            np.subtract(X[:, c], y[c], out=t)
-            np.multiply(t, t, out=t)
-            out += t
-    return out
+_CHUNK = 1 << 16  # scratch floats per row chunk of a block with q >= 2
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
-    # pairwise squared distances, one column call per point of the shorter
-    # operand; fl(a - b) = -fl(b - a), so either order gives the same squares
+def _sq_dists(X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances ||X[i] - Y[l]||^2 as a (len X, len Y) block, or as
+    a vector over Y's rows when X is one point; Y = None means Y = X. Direct
+    differencing gives coincident points exactly zero, in either order.
+    """
     Y = X if Y is None else Y
-    out = np.empty((X.shape[0], Y.shape[0]))
-    short, other, view = (X, Y, out) if X.shape[0] <= Y.shape[0] else (Y, X, out.T)
-    for i, x in enumerate(short):
-        _sq_dist_col(other, x, view[i])
+    k, q = Y.shape
+    out = np.empty(X.shape[:-1] + (k,)) if out is None else out
+    if X.ndim == 1:
+        # scalar coordinates keep the sweep's kernel column on 1-D loops
+        blocks = ((X, out),)
+    else:
+        rows = max(1, X.shape[0] if q == 1 else _CHUNK // max(k * q, 1))
+        blocks = [(X[r : r + rows, None, :], out[r : r + rows]) for r in range(0, X.shape[0], rows)]
+    for x, o in blocks:
+        if q >= 8:
+            d = np.subtract(x, Y, out=np.empty(o.shape + (q,)))
+            np.multiply(d, d, out=d).sum(axis=-1, out=o)
+            continue
+        # numpy's pairwise sum adds fewer than 8 terms left to right, so
+        # adding the squared coordinates in order gives the same bits
+        np.subtract(x[..., 0], Y[:, 0], out=o)
+        np.multiply(o, o, out=o)
+        if q > 1:
+            t = np.empty(o.shape)
+            for c in range(1, q):
+                np.subtract(x[..., c], Y[:, c], out=t)
+                np.multiply(t, t, out=t)
+                o += t
     return out
 
 
@@ -184,29 +184,30 @@ class _Bandwidth(KernelSpec):
     """Base of the families exp(-r(x, y) / delta) with bandwidth delta > 0."""
 
     delta: float = 1.0
+    _root = False
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"bandwidth must be a positive real, got {self.delta!r}")
 
     def _exp(self, r: np.ndarray) -> np.ndarray:
-        # exp(-r / delta), in place
-        np.divide(r, -self.delta, out=r)
+        # exp(-r / delta) in place; with _root, r is first replaced by sqrt(r)
+        np.divide(np.sqrt(r, out=r) if self._root else r, -self.delta, out=r)
         return np.exp(r, out=r)
 
 
 @dataclass(frozen=True)
-class GaussianKernel(_Bandwidth):
-    """k(x, y) = exp(-||x - y||^2 / delta)."""
+class _Radial(_Bandwidth):
+    """Base of exp(-||x - y||^p / delta) with p = 2, or p = 1 when ``_root``."""
 
     psd = True
 
     def _pair(self, x, y):
-        d = x - y
-        return math.exp(-(d @ d) / self.delta)
+        r = (x - y) @ (x - y)
+        return math.exp(-(math.sqrt(r) if self._root else r) / self.delta)
 
     def cross(self, X, y, out=None):
-        return self._exp(_sq_dist_col(X, y, out))
+        return self._exp(_sq_dists(y, X, out))
 
     def diag(self, X):
         return np.ones(X.shape[0])
@@ -214,27 +215,28 @@ class GaussianKernel(_Bandwidth):
     def gram(self, X, Y=None):
         return self._exp(_sq_dists(X, Y))
 
+    def prefix_column_fn(self, X):
+        # _exp inline: the sweep pays each call and lookup once per column
+        root, scale = self._root, -self.delta
+
+        def f(j: int, out: np.ndarray) -> np.ndarray:
+            s = _sq_dists(X[j], X[:j], out[:j])
+            np.divide(np.sqrt(s, out=s) if root else s, scale, out=s)
+            return np.exp(s, out=s)
+
+        return f
+
 
 @dataclass(frozen=True)
-class LaplaceKernel(_Bandwidth):
+class GaussianKernel(_Radial):
+    """k(x, y) = exp(-||x - y||^2 / delta)."""
+
+
+@dataclass(frozen=True)
+class LaplaceKernel(_Radial):
     """k(x, y) = exp(-||x - y|| / delta)."""
 
-    psd = True
-
-    def _pair(self, x, y):
-        d = x - y
-        return math.exp(-math.sqrt(d @ d) / self.delta)
-
-    def cross(self, X, y, out=None):
-        s = _sq_dist_col(X, y, out)
-        return self._exp(np.sqrt(s, out=s))
-
-    def diag(self, X):
-        return np.ones(X.shape[0])
-
-    def gram(self, X, Y=None):
-        d2 = _sq_dists(X, Y)
-        return self._exp(np.sqrt(d2, out=d2))
+    _root = True
 
 
 @dataclass(frozen=True)
@@ -290,9 +292,7 @@ class EnergyKernel(KernelSpec):
             raise ValueError(f"anchor has dimension {len(self.x0)}, data has {q}")
 
     def _anchor(self, q: int) -> np.ndarray:
-        if self.x0 is None:
-            return np.zeros(q)
-        return np.asarray(self.x0, dtype=np.float64)
+        return np.zeros(q) if self.x0 is None else np.asarray(self.x0, dtype=np.float64)
 
     def _pair(self, x, y):
         x0 = self._anchor(x.size)
@@ -308,7 +308,7 @@ class EnergyKernel(KernelSpec):
 
     def _column(self, X, ax, y, ay, out):
         # k(X[i], y) from the anchor norms ax of X and ay of y
-        s = _sq_dist_col(X, y, out)
+        s = _sq_dists(y, X, out)
         np.power(s, self.alpha / 2, out=s)
         np.subtract(ax, s, out=s)
         s += ay
@@ -483,8 +483,7 @@ def energy_distance(sample_a, sample_b, alpha: float = 1.0) -> float:
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"exponent must lie in (0, 2), got {alpha!r}")
-    a = as_signal(sample_a)
-    b = as_signal(sample_b)
+    a, b = as_signal(sample_a), as_signal(sample_b)
     if a.q != b.q:
         raise ValueError(f"dimension mismatch: {a.q} vs {b.q}")
     p = alpha / 2.0

@@ -68,8 +68,8 @@ class Embedding:
 
 
 def embedding_table_bytes(n: int, rank: int) -> int:
-    """Bytes of an embedding's Z, prefix_sum and prefix_sqnorm arrays."""
-    return 8 * (rank * n + (n + 1) * rank + (n + 1))
+    """Bytes of an embedding's Z, prefix_sum, prefix_sqnorm and prefix_norm_sq."""
+    return 8 * (rank * n + (n + 1) * rank + 2 * (n + 1))
 
 
 def _grid_points(X: np.ndarray, p: int) -> np.ndarray:

@@ -244,10 +244,16 @@ def test_lowrank_path_sets_warning_flag(tmp_path):
 def test_exact_path_warns_about_landmark_flags(tmp_path, capsys):
     x = np.arange(30.0)
     inp = _write(tmp_path / "x.csv", "\n".join(repr(float(v)) for v in x) + "\n")
+    for count in ("7", "100"):
+        # 100 is the default count, but given explicitly it is still ignored
+        rc = main(["segment", "--input", inp, "--kernel", "linear", "--dmax", "3",
+                   "--landmarks", count, "--c1", "0.1", "--c2", "0.1"])
+        assert rc == EXIT_OK
+        assert "ignored" in capsys.readouterr().err
     rc = main(["segment", "--input", inp, "--kernel", "linear", "--dmax", "3",
-               "--landmarks", "7", "--c1", "0.1", "--c2", "0.1"])
+               "--c1", "0.1", "--c2", "0.1"])
     assert rc == EXIT_OK
-    assert "ignored" in capsys.readouterr().err
+    assert "ignored" not in capsys.readouterr().err
 
 
 def test_simulate_then_segment(tmp_path):
@@ -352,6 +358,15 @@ def test_bench_cli_csv(tmp_path):
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "algorithm,n,p,seconds,peak_table_bytes"
     assert len(lines) == 3
+
+
+def test_bench_grid_lengths_fit_the_benchmark_signal(capsys):
+    # the benchmark signal has 9 changes, so 10 points is the shortest length
+    rc = main(["bench", "--grid", "5,300", "--algorithms", "exact", "--dmax", "3"])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "grid length 5" in err and "9 changes" in err and "at least 10" in err
+    assert "num_changes" not in err
 
 
 def test_bench_grid_must_be_sorted():

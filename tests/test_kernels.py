@@ -20,7 +20,7 @@ from kcpd import (
     evaluate,
     mad_scale,
 )
-from kcpd.kernels import _sq_dist_col
+from kcpd.kernels import _sq_dists
 
 ALL_FAMILIES = [
     LinearKernel(),
@@ -112,31 +112,39 @@ def _check_prefix_columns(X):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 2, 5, 31, 200]),
+    m=st.sampled_from([0, 1, 2, 5, 31, 200]),
+    k=st.sampled_from([0, 1, 2, 5, 31, 200]),
     q=st.integers(1, 12),
     scale_exp=st.sampled_from([-8, -3, 0, 3, 40, 150]),
     rounded=st.booleans(),
-    y_from_x=st.booleans(),
+    shared=st.booleans(),
     strided=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sq_dist_col_is_bitwise_the_axis_sum(n, q, scale_exp, rounded, y_from_x, strided, seed):
+def test_sq_dists_block_is_bitwise_the_axis_sum(m, k, q, scale_exp, rounded, shared, strided, seed):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, q))
-    y = rng.normal(size=q)
+    X, Y = rng.normal(size=(m, q)), rng.normal(size=(k, q))
     if rounded:
         # ties and exact zeros
-        X, y = np.round(2 * X) / 2, np.round(2 * y) / 2
-    if y_from_x and n:
-        y = X[n // 2].copy()
-    X, y = X * 10.0**scale_exp, y * 10.0**scale_exp
-    want = ((X - y) ** 2).sum(axis=1)
-    # a column of a C-ordered block, as _sq_dists passes it
-    out = np.empty((n, 3))[:, 1] if strided else None
-    got = _sq_dist_col(X, y, out)
-    assert got.tobytes() == want.tobytes()
-    if strided:
-        assert out.tobytes() == want.tobytes()
+        X, Y = np.round(2 * X) / 2, np.round(2 * Y) / 2
+    if shared and m and k:
+        Y[k // 2] = X[m // 2]
+    X, Y = X * 10.0**scale_exp, Y * 10.0**scale_exp
+    for A, B in ((X, Y), (Y, X), (X, X)):
+        want = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        # a transposed buffer is strided along each row of the block
+        out = np.empty((B.shape[0], A.shape[0])).T if strided else None
+        got = _sq_dists(A, B, out)
+        assert got.tobytes() == want.tobytes()
+        if strided:
+            assert out.tobytes() == want.tobytes()
+        if A.shape[0]:
+            # one point against a block, written into a 1-D buffer
+            i = A.shape[0] // 2
+            buf = np.empty(B.shape[0] + 3)
+            _sq_dists(A[i], B, buf[: B.shape[0]])
+            assert buf[: B.shape[0]].tobytes() == want[i].tobytes()
+    assert _sq_dists(X).tobytes() == _sq_dists(X, X).tobytes()
 
 
 def test_psd_spot_check(rng):

@@ -16,6 +16,7 @@ from kcpd import (
     nystrom_embed,
     segment_cost_direct,
 )
+from kcpd.lowrank import embedding_table_bytes
 
 from conftest import direct_cost_matrix, random_signal
 
@@ -96,6 +97,15 @@ def test_sum_kernel_blocks_concatenate(rng):
     # grid landmarks per coordinate block also work
     emb2 = nystrom_embed(Signal(X), spec, p=10, rule="grid")
     assert emb2.Z.shape[0] <= 20
+
+
+def test_embedding_table_bytes_counts_every_array(rng):
+    X = random_signal(rng, 40, q=2)
+    for spec in (GaussianKernel(1.0),
+                 SumKernel.per_coordinate([GaussianKernel(1.0), GaussianKernel(2.0)])):
+        emb = nystrom_embed(Signal(X), spec, p=8, rule="stride")
+        arrays = (emb.Z, emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
+        assert embedding_table_bytes(emb.n, emb.rank) == sum(a.nbytes for a in arrays)
 
 
 def test_default_rule_is_stride_for_multivariate_signals(rng):
