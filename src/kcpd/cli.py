@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -60,23 +61,60 @@ class InfeasibleError(Exception):
 # CSV handling
 
 
+# ASCII controls where str.splitlines ends a line ("\v", "\f", "\x1c"-"\x1e")
+# or that np.loadtxt strips from a field and float() keeps ("\x1c"-"\x1f");
+# text mode has already read "\r" and "\r\n" as "\n"
+_SPLIT_OR_STRIP = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _header_rows(line: str) -> int:
+    """1 if the first line is a header, that is not all numbers, else 0."""
+    try:
+        [float(v) for v in line.split(",")]
+    except ValueError:
+        return 1
+    return 0
+
+
 def load_csv(path: str) -> Signal:
-    """Read a signal: one row per time point, comma-separated, optional header."""
-    rows = []
+    """Read a signal: one row per time point, comma-separated, optional header.
+
+    np.loadtxt parses an ASCII body at array speed. Other text, characters
+    the two parsers split or strip differently, and input np.loadtxt
+    refuses go to the line-wise parser, which decides what is accepted
+    and words every error.
+    """
     try:
         # utf-8-sig: a byte-order mark would otherwise make row 1 a header
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-    start = 0
-    if lines:
+    arr = None
+    if text.isascii() and not any(c in text for c in _SPLIT_OR_STRIP):
+        # comments=None: "#2" is a bad row, not a comment; an empty body
+        # warns and is left to the line-wise parser's message. An open file,
+        # not the path, keeps np.loadtxt from importing its archive readers
         try:
-            [float(v) for v in lines[0].split(",")]
-        except ValueError:
-            start = 1  # header
+            with warnings.catch_warnings(), open(path, "r", encoding="utf-8-sig") as fh:
+                warnings.simplefilter("ignore")
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                 skiprows=_header_rows(text.partition("\n")[0]))
+        except (OSError, ValueError):
+            pass  # the line-wise parser decides, and words the error
+    if arr is None or arr.size == 0:
+        arr = _parse_lines(path, text.splitlines())
+    if not np.isfinite(arr).all():
+        raise InputError(f"{path}: non-finite values in input")
+    return Signal(arr)
+
+
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+    """The line-wise parser: skips blank lines and names the line of an error."""
+    rows = []
+    start = _header_rows(lines[0]) if lines else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -91,10 +129,7 @@ def load_csv(path: str) -> Signal:
     for lineno, row in enumerate(rows, start=start + 1):
         if len(row) != width:
             raise InputError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-    arr = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise InputError(f"{path}: non-finite values in input")
-    return Signal(arr)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_csv(signal: Signal, path: str) -> None:

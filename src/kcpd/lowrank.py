@@ -5,7 +5,10 @@ K~ = K(X, J) pinv(K(J, J)) K(J, X), factored through an eigendecomposition
 as K~ = Z' Z with Z of shape (p', n), p' = p minus the eigenvalues dropped
 by the pseudo-inverse cutoff. Columns of Z act as finite-dimensional
 stand-ins for the observations, so segment costs become O(p') prefix-sum
-queries and the greedy splitter runs in O(p' n log Dmax) overall.
+queries and the greedy splitter runs in O(p' n log Dmax) overall. Z is
+never held whole: the embedding makes it in passes of columns and keeps
+only its prefix sums, (p' + 2)(n + 1) floats, plus one pass's blocks
+while it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,17 +37,49 @@ __all__ = [
 EIG_DROP = 1e-10
 
 
+# feature columns per pass of nystrom_embed. Only the prefix sums span all
+# n points; a pass holds one K(J, X) block of p x _EMBED_COLS and its
+# features. Inputs of at most this many points are one pass, so their
+# features are the one full-width product. Longer inputs get one product
+# per pass: BLAS rounds a pass's product bitwise like the full-width one at
+# widths 1024 to 16384, but a last pass of 1 or 3 columns (a 1-column
+# product goes to gemv) or an odd width can differ in the last bits of a
+# few columns, so for n > _EMBED_COLS the passes are the definition.
+_EMBED_COLS = 16384
+
+
+@dataclass(frozen=True)
+class _BlockMap:
+    """Feature map of one kernel block: x -> proj @ k(landmarks, x[cols])."""
+
+    spec: KernelSpec
+    cols: list[int] | None  # the block's coordinates; None for all of them
+    landmarks: np.ndarray
+    proj: np.ndarray
+
+
+def _features(maps: tuple[_BlockMap, ...], X: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Feature columns a..b-1, the blocks' rows stacked in order."""
+    parts = [m.proj @ m.spec.gram(m.landmarks, X[a:b] if m.cols is None else X[a:b, m.cols])
+             for m in maps]
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
+
+
 @dataclass(frozen=True)
 class Embedding:
-    """Feature matrix Z with prefix sums for O(p') segment costs.
+    """Prefix sums of the landmark features, for O(p') segment costs.
 
     ``prefix_sum[t]`` is the sum of the first t feature columns and
     ``prefix_sqnorm[t]`` the sum of their squared norms, so the cost of
     [s, e) is (prefix_sqnorm[e] - prefix_sqnorm[s])
     - ||prefix_sum[e] - prefix_sum[s]||^2 / (e - s).
+
+    The feature matrix Z itself is not stored: the embedding holds
+    (rank + 2)(n + 1) floats, plus the signal and the landmark maps. The
+    ``Z`` property and ``approx_gram`` recompute the features from those,
+    which costs a full embedding pass and is meant for small n.
     """
 
-    Z: np.ndarray
     # landmark rule used, "grid" or "stride"; None for explicit points
     rule: str | None
     dropped: int
@@ -52,14 +87,23 @@ class Embedding:
     prefix_sqnorm: np.ndarray
     # ||prefix_sum[t]||^2, kept so split scans touch each prefix row once
     prefix_norm_sq: np.ndarray
+    # the embedded signal and one feature map per kernel block
+    data: np.ndarray = field(repr=False)
+    maps: tuple[_BlockMap, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.Z.shape[1]
+        return self.prefix_sum.shape[0] - 1
 
     @property
     def rank(self) -> int:
-        return self.Z.shape[0]
+        return self.prefix_sum.shape[1]
+
+    @property
+    def Z(self) -> np.ndarray:
+        """Feature matrix (rank x n), recomputed pass by pass as embedded."""
+        return np.hstack([_features(self.maps, self.data, a, min(a + _EMBED_COLS, self.n))
+                          for a in range(0, self.n, _EMBED_COLS)])
 
     def approx_gram(self, idx=None) -> np.ndarray:
         """Entries of K~ = Z' Z, on all points or on a subset of indices."""
@@ -68,8 +112,8 @@ class Embedding:
 
 
 def embedding_table_bytes(n: int, rank: int) -> int:
-    """Bytes of an embedding's Z, prefix_sum, prefix_sqnorm and prefix_norm_sq."""
-    return 8 * (rank * n + (n + 1) * rank + 2 * (n + 1))
+    """Bytes of an embedding's prefix_sum, prefix_sqnorm and prefix_norm_sq."""
+    return 8 * (rank + 2) * (n + 1)
 
 
 def _grid_points(X: np.ndarray, p: int) -> np.ndarray:
@@ -85,13 +129,12 @@ def _stride_indices(n: int, p: int) -> np.ndarray:
     return np.arange(0, n, step)
 
 
-def _embed_block(spec: KernelSpec, X: np.ndarray, landmarks: np.ndarray,
-                 whole: KernelSpec) -> tuple[np.ndarray, int]:
-    """Z block for one kernel; an overflow error names the whole kernel."""
+def _block_map(spec: KernelSpec, cols: list[int] | None, landmarks: np.ndarray,
+               whole: KernelSpec) -> tuple[_BlockMap, int]:
+    """Feature map for one kernel block; an overflow error names the whole kernel."""
     kjj = spec.gram(landmarks)
     if not np.isfinite(kjj).all():
         raise overflow_error(whole, "landmark Gram matrix")
-    kjx = spec.gram(landmarks, X)
     w, v = np.linalg.eigh(kjj)
     wmax = float(w[-1])
     if wmax <= 0.0:
@@ -99,7 +142,7 @@ def _embed_block(spec: KernelSpec, X: np.ndarray, landmarks: np.ndarray,
     keep = w > wmax * EIG_DROP
     dropped = int(len(w) - keep.sum())
     scaled = v[:, keep] / np.sqrt(w[keep])
-    return scaled.T @ kjx, dropped
+    return _BlockMap(spec, cols, landmarks, scaled.T), dropped
 
 
 def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = None,
@@ -113,6 +156,9 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
     sum kernel, else stride. Explicit landmark ``points`` override the rule
     (recorded as None). Sum kernels embed each coordinate block
     independently and stack the features, since inner products add.
+
+    The features are made and summed in passes of _EMBED_COLS points, so
+    memory beyond the (rank + 2)(n + 1) floats kept is one pass's blocks.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
@@ -123,7 +169,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
         if points.shape[1] != sig.q:
             raise ValueError(f"landmark dimension {points.shape[1]} does not match q={sig.q}")
-        blocks = [(spec, X)]
+        blocks = [(spec, None)]
     else:
         if not (1 <= p <= n):
             raise ValueError(f"landmark count must lie in 1..{n}, got {p}")
@@ -133,33 +179,43 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
             idx = _stride_indices(n, p)
         elif rule != "grid":
             raise ValueError(f"unknown landmark rule {rule!r}")
-        blocks = ([(child, np.ascontiguousarray(X[:, list(idxs)])) for idxs, child in spec.children]
-                  if isinstance(spec, SumKernel) else [(spec, X)])
+        blocks = ([(child, list(idxs)) for idxs, child in spec.children]
+                  if isinstance(spec, SumKernel) else [(spec, None)])
 
-    parts = []
+    maps = []
     dropped = 0
     # an overflowing kernel warns on its way to the values the guards report
     with np.errstate(over="ignore", invalid="ignore"):
-        for block_spec, xb in blocks:
+        for block_spec, cols in blocks:
             if points is not None:
                 lm = points
             elif rule == "grid":
-                lm = _grid_points(xb, p)
+                lm = _grid_points(X if cols is None else X[:, cols], p)
             else:
-                lm = xb[idx]
-            z, d = _embed_block(block_spec, xb, lm, spec)
-            parts.append(z)
+                lm = X[idx] if cols is None else X[np.ix_(idx, cols)]
+            m, d = _block_map(block_spec, cols, lm, spec)
+            maps.append(m)
             dropped += d
-        Z = parts[0] if len(parts) == 1 else np.vstack(parts)
-        prefix = np.zeros((n + 1, Z.shape[0]))
-        np.cumsum(Z.T, axis=0, out=prefix[1:])
+        maps = tuple(maps)
+        prefix = np.zeros((n + 1, sum(len(m.proj) for m in maps)))
         sqnorm = np.zeros(n + 1)
-        np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
+        for a in range(0, n, _EMBED_COLS):
+            b = min(a + _EMBED_COLS, n)
+            z = _features(maps, X, a, b)
+            sqnorm[a + 1 : b + 1] = np.einsum("ij,ij->j", z, z)
+            # numpy's axis cumsum is sequential: adding the sum so far to the
+            # first column is the running sum's next step, so the passes give
+            # one cumsum's bits without a copy of the pass
+            if a:
+                z[:, 0] += prefix[a]
+            np.cumsum(z.T, axis=0, out=prefix[a + 1 : b + 1])
+            del z  # before the next pass's Gram block
+        np.cumsum(sqnorm[1:], out=sqnorm[1:])
         if not math.isfinite(sqnorm[-1]):
             raise overflow_error(spec, "embedding")
         norm_sq = np.einsum("ij,ij->i", prefix, prefix)
-    return Embedding(Z=Z, rule=rule, dropped=dropped,
-                     prefix_sum=prefix, prefix_sqnorm=sqnorm, prefix_norm_sq=norm_sq)
+    return Embedding(rule=rule, dropped=dropped, prefix_sum=prefix, prefix_sqnorm=sqnorm,
+                     prefix_norm_sq=norm_sq, data=X, maps=maps)
 
 
 def embedded_segment_cost(emb: Embedding, start: int, end: int) -> float:

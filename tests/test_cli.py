@@ -13,6 +13,7 @@ from kcpd.cli import (
     EXIT_OK,
     _FAMILIES,
     InfeasibleError,
+    InputError,
     _bench_signal,
     _kernel_doc,
     build_kernel,
@@ -61,6 +62,65 @@ def test_load_csv_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["segment", "--input", str(latin1)]) == EXIT_INPUT
     assert str(latin1) in capsys.readouterr().err
+
+
+# (file bytes, whether np.loadtxt must be the parser that answers)
+_CSV_CASES = [
+    (b"1.5\n-0.0\n2e3\n.5\n", True),
+    (b" 1.5 , 2 \n3,\t4\n", True),
+    (b"x,y\n1,2\n3,4\n", True),
+    (b"\xef\xbb\xbf1,2\n3,4\n", True),
+    (b"\xef\xbb\xbfa,b\r\n1,2\r\n3,4\r\n", True),
+    (b"t\r1\r2\r", True),
+    (b"1\n\n2\n", True),
+    (b"1_0\n2\n", False),
+    (b"1\n   \n2\n", False),
+    ("\u0661\n2\n".encode(), False),
+    (b"#2\n1\n", True),
+    (b"1\n#2\n", False),
+    (b"1\n2#3\n", False),
+    (b"1,2,\n3,4,\n", False),
+    (b"1,2\n3\n", False),
+    (b"", False),
+    (b"x\n", False),
+    (b"1\ninf\n", True),
+    (b"1\nnan\n", True),
+    (b"1\n1e400\n", True),
+    # line breaks of str.splitlines inside a row, or blanks only np.loadtxt strips
+    *[(f"1{c},3\n2{c},4\n".encode(), False) for c in "\x0b\x0c\x1c\x1d\x1e\x1f"],
+    ("1\u2028,2\n".encode(), False),
+]
+
+
+@pytest.mark.parametrize("data,fast", _CSV_CASES)
+def test_load_csv_agrees_with_the_line_wise_parser(tmp_path, monkeypatch, data, fast):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+
+    def outcome():
+        try:
+            arr = load_csv(str(path)).data
+        except InputError as exc:
+            return str(exc)
+        return arr.shape, arr.tobytes()
+
+    answered = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        arr = loadtxt(*args, **kwargs)
+        answered.append(arr.size > 0)
+        return arr
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    got = outcome()
+    assert any(answered) == fast
+
+    def refuse(*args, **kwargs):
+        raise ValueError("line-wise parser only")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert got == outcome()
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):

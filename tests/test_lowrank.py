@@ -1,11 +1,15 @@
 """Landmark embedding and greedy splitting against exact references."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kcpd import (
     ExponentialKernel,
     GaussianKernel,
+    LaplaceKernel,
     LinearKernel,
     Signal,
     SumKernel,
@@ -16,6 +20,7 @@ from kcpd import (
     nystrom_embed,
     segment_cost_direct,
 )
+from kcpd import lowrank
 from kcpd.lowrank import embedding_table_bytes
 
 from conftest import direct_cost_matrix, random_signal
@@ -104,8 +109,86 @@ def test_embedding_table_bytes_counts_every_array(rng):
     for spec in (GaussianKernel(1.0),
                  SumKernel.per_coordinate([GaussianKernel(1.0), GaussianKernel(2.0)])):
         emb = nystrom_embed(Signal(X), spec, p=8, rule="stride")
-        arrays = (emb.Z, emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
+        arrays = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
         assert embedding_table_bytes(emb.n, emb.rank) == sum(a.nbytes for a in arrays)
+        # besides those it holds the caller's signal and the small landmark maps
+        held = [getattr(emb, f.name) for f in dataclasses.fields(emb)]
+        assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == (
+            embedding_table_bytes(emb.n, emb.rank) + X.nbytes)
+        assert np.shares_memory(emb.data, X)
+
+
+# a pass width small enough that test inputs span several passes
+_W = 1024
+
+
+def _full_width_features(emb):
+    """The features as one product per kernel block over all n points, and
+    the magnitude |proj| @ |K| that bounds each product's rounding."""
+    prods, mags = [], []
+    for m in emb.maps:
+        K = m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
+        prods.append(m.proj @ K)
+        mags.append(np.abs(m.proj) @ np.abs(K))
+    return np.vstack(prods), np.vstack(mags)
+
+
+_SPECS = (GaussianKernel(1.0), SumKernel.per_coordinate([GaussianKernel(1.0), LaplaceKernel(2.0)]))
+
+
+@pytest.mark.parametrize("n", [3 * _W + 1, 3 * _W + 288])
+@pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "sum"])
+def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
+    # the prefix arrays are filled pass by pass; they must be bitwise one
+    # cumsum over the feature columns, with a zero first row
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    X = rng.normal(size=(n, 2))
+    X[n // 3 :] += 1.0
+    emb = nystrom_embed(Signal(X), spec, p=50, rule="stride")
+    Z = emb.Z
+    assert Z.shape == (emb.rank, n)
+    prefix = np.zeros((n + 1, emb.rank))
+    np.cumsum(Z.T, axis=0, out=prefix[1:])
+    sqnorm = np.zeros(n + 1)
+    np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
+    np.testing.assert_array_equal(emb.prefix_sum, prefix, strict=True)
+    np.testing.assert_array_equal(emb.prefix_sqnorm, sqnorm, strict=True)
+    np.testing.assert_array_equal(emb.prefix_norm_sq, np.einsum("ij,ij->i", prefix, prefix),
+                                  strict=True)
+    # past one pass the features are per-pass products, equal to the
+    # full-width product up to BLAS rounding: a p-term dot product is off
+    # by at most about p u |proj| @ |K|, 6e-15 of that magnitude at p = 50
+    full, mag = _full_width_features(emb)
+    assert (np.abs(Z - full) <= 1e-13 * mag).all()
+
+
+@pytest.mark.parametrize("n", [40, _W])
+@pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "sum"])
+def test_one_pass_embedding_is_the_full_width_product(monkeypatch, rng, n, spec):
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    emb = nystrom_embed(Signal(rng.normal(size=(n, 2))), spec, p=20, rule="stride")
+    full = _full_width_features(emb)[0]
+    np.testing.assert_array_equal(emb.Z, full, strict=True)
+    prefix = np.zeros((n + 1, emb.rank))
+    np.cumsum(full.T, axis=0, out=prefix[1:])
+    np.testing.assert_array_equal(emb.prefix_sum, prefix, strict=True)
+
+
+def test_embedding_memory_is_the_prefix_sums_plus_one_pass(monkeypatch, rng):
+    # n = 4 W + 3 spans five passes; a whole K(J, X) alone would be 4 blocks
+    # of p x W floats, on top of the kept prefix arrays
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    n, p = 4 * _W + 3, 100
+    sig = Signal(rng.normal(size=n))
+    spec = GaussianKernel(1.0)
+    nystrom_embed(sig, spec, p=p, rule="stride")  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        emb = nystrom_embed(sig, spec, p=p, rule="stride")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= embedding_table_bytes(n, emb.rank) + 2 * 8 * p * _W
 
 
 def test_default_rule_is_stride_for_multivariate_signals(rng):
