@@ -122,14 +122,14 @@ def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
             row = [float(v) for v in line.split(",")]
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from exc
-        rows.append(row)
+        rows.append((lineno, row))
     if not rows:
         raise InputError(f"{path}: no data rows")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=start + 1):
+    width = len(rows[0][1])
+    for lineno, row in rows:
         if len(row) != width:
             raise InputError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray([row for _, row in rows], dtype=np.float64)
 
 
 def save_csv(signal: Signal, path: str) -> None:

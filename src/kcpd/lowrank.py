@@ -37,14 +37,16 @@ __all__ = [
 EIG_DROP = 1e-10
 
 
-# feature columns per pass of nystrom_embed. Only the prefix sums span all
-# n points; a pass holds one K(J, X) block of p x _EMBED_COLS and its
-# features. Inputs of at most this many points are one pass, so their
+# columns per pass of nystrom_embed and per chunk of a best_split scan.
+# Only the prefix sums span all n points; a pass holds one K(J, X) block of
+# p x _EMBED_COLS and its features, and a scan chunk a few vectors of this
+# length. Inputs of at most this many points are one pass, so their
 # features are the one full-width product. Longer inputs get one product
 # per pass: BLAS rounds a pass's product bitwise like the full-width one at
 # widths 1024 to 16384, but a last pass of 1 or 3 columns (a 1-column
 # product goes to gemv) or an odd width can differ in the last bits of a
-# few columns, so for n > _EMBED_COLS the passes are the definition.
+# few columns, so for n > _EMBED_COLS the passes are the definition, and
+# likewise the chunk grid of a split scan.
 _EMBED_COLS = 16384
 
 
@@ -72,7 +74,10 @@ class Embedding:
     ``prefix_sum[t]`` is the sum of the first t feature columns and
     ``prefix_sqnorm[t]`` the sum of their squared norms, so the cost of
     [s, e) is (prefix_sqnorm[e] - prefix_sqnorm[s])
-    - ||prefix_sum[e] - prefix_sum[s]||^2 / (e - s).
+    - ||prefix_sum[e] - prefix_sum[s]||^2 / (e - s). The sums are stored
+    feature-major: ``prefix_sum`` is the (n + 1, rank) view ``.T`` of a
+    C-contiguous (rank, n + 1) array, so a split scan reads each feature's
+    sums contiguously.
 
     The feature matrix Z itself is not stored: the embedding holds
     (rank + 2)(n + 1) floats, plus the signal and the landmark maps. The
@@ -85,7 +90,7 @@ class Embedding:
     dropped: int
     prefix_sum: np.ndarray
     prefix_sqnorm: np.ndarray
-    # ||prefix_sum[t]||^2, kept so split scans touch each prefix row once
+    # ||prefix_sum[t]||^2, kept so a split scan reads the prefix sums only in its product
     prefix_norm_sq: np.ndarray
     # the embedded signal and one feature map per kernel block
     data: np.ndarray = field(repr=False)
@@ -197,7 +202,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
             maps.append(m)
             dropped += d
         maps = tuple(maps)
-        prefix = np.zeros((n + 1, sum(len(m.proj) for m in maps)))
+        prefix = np.zeros((sum(len(m.proj) for m in maps), n + 1))
         sqnorm = np.zeros(n + 1)
         for a in range(0, n, _EMBED_COLS):
             b = min(a + _EMBED_COLS, n)
@@ -207,14 +212,14 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
             # first column is the running sum's next step, so the passes give
             # one cumsum's bits without a copy of the pass
             if a:
-                z[:, 0] += prefix[a]
-            np.cumsum(z.T, axis=0, out=prefix[a + 1 : b + 1])
+                z[:, 0] += prefix[:, a]
+            np.cumsum(z, axis=1, out=prefix[:, a + 1 : b + 1])
             del z  # before the next pass's Gram block
         np.cumsum(sqnorm[1:], out=sqnorm[1:])
         if not math.isfinite(sqnorm[-1]):
             raise overflow_error(spec, "embedding")
-        norm_sq = np.einsum("ij,ij->i", prefix, prefix)
-    return Embedding(rule=rule, dropped=dropped, prefix_sum=prefix, prefix_sqnorm=sqnorm,
+        norm_sq = np.einsum("ij,ij->j", prefix, prefix)
+    return Embedding(rule=rule, dropped=dropped, prefix_sum=prefix.T, prefix_sqnorm=sqnorm,
                      prefix_norm_sq=norm_sq, data=X, maps=maps)
 
 
@@ -253,30 +258,38 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     hi = end - ell + 1
     if hi <= lo:
         return None
-    # two-piece cost of each split t in [lo, hi). BLAS may round the product
-    # differently for other row ranges or operand layouts, so it always spans
-    # exactly [lo, hi) with a C-ordered (rank, 2) operand. Each side is then
+    # two-piece cost of each split t in [lo, hi), in chunks of _EMBED_COLS
+    # splits from lo. BLAS may round a product differently for other column
+    # ranges or operand layouts, so the chunk grid and the C-ordered
+    # (2, rank) operand are part of the definition. Each side is then
     # (q_t - q_a) - (p2_t - 2 S_t.S_a + p2_a) / |t - a| in that order;
-    # scaling by -2 is exact and the in-place steps only reuse buffers
-    S, q, p2 = emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq
-    cross = S[lo:hi] @ S.take((start, end), axis=0).T.copy()
-    cross *= -2.0
-    p2v = p2[lo:hi]
-    qv = q[lo:hi]
-    lnum = p2v + cross[:, 0]
-    lnum += p2[start]
-    lnum /= np.arange(lo - start, hi - start, dtype=np.float64)
-    rnum = cross[:, 1] + p2[end]
-    rnum += p2v
-    rnum /= np.arange(end - lo, end - hi, -1, dtype=np.float64)
-    total = qv - q[start]
-    total -= lnum
-    right = q[end] - qv
-    right -= rnum
-    total += right
-    i = int(np.argmin(total))
-    gain = embedded_segment_cost(emb, start, end) - float(total[i])
-    return SplitCandidate(start=start, end=end, split=lo + i, gain=max(gain, 0.0))
+    # scaling by -2 is exact and the in-place steps only reuse buffers. A
+    # later chunk wins only if strictly lower, so the smallest split wins ties
+    ST, q, p2 = emb.prefix_sum.T, emb.prefix_sqnorm, emb.prefix_norm_sq
+    W = ST[:, (start, end)].T.copy()
+    best, split = math.inf, lo
+    for a in range(lo, hi, _EMBED_COLS):
+        b = min(a + _EMBED_COLS, hi)
+        cross = W @ ST[:, a:b]
+        cross *= -2.0
+        p2v = p2[a:b]
+        qv = q[a:b]
+        lnum = p2v + cross[0]
+        lnum += p2[start]
+        lnum /= np.arange(a - start, b - start, dtype=np.float64)
+        rnum = cross[1] + p2[end]
+        rnum += p2v
+        rnum /= np.arange(end - a, end - b, -1, dtype=np.float64)
+        total = qv - q[start]
+        total -= lnum
+        right = q[end] - qv
+        right -= rnum
+        total += right
+        i = int(np.argmin(total))
+        if total[i] < best:
+            best, split = float(total[i]), a + i
+    gain = embedded_segment_cost(emb, start, end) - best
+    return SplitCandidate(start=start, end=end, split=split, gain=max(gain, 0.0))
 
 
 @dataclass(frozen=True)

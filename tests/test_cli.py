@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kcpd import GaussianKernel, LinearKernel, Signal, segment_cost_direct
+from kcpd import GaussianKernel, LinearKernel, Signal, lowrank, segment_cost_direct
 from kcpd.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -81,6 +81,7 @@ _CSV_CASES = [
     (b"1\n2#3\n", False),
     (b"1,2,\n3,4,\n", False),
     (b"1,2\n3\n", False),
+    (b"1,2\n\n\n3\n", False),
     (b"", False),
     (b"x\n", False),
     (b"1\ninf\n", True),
@@ -90,6 +91,9 @@ _CSV_CASES = [
     *[(f"1{c},3\n2{c},4\n".encode(), False) for c in "\x0b\x0c\x1c\x1d\x1e\x1f"],
     ("1\u2028,2\n".encode(), False),
 ]
+
+# the error a case must end in, where the line it names matters
+_CSV_ERRORS = {b"1,2\n\n\n3\n": "line 4: expected 2 columns, got 1"}
 
 
 @pytest.mark.parametrize("data,fast", _CSV_CASES)
@@ -121,6 +125,8 @@ def test_load_csv_agrees_with_the_line_wise_parser(tmp_path, monkeypatch, data, 
 
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert got == outcome()
+    if data in _CSV_ERRORS:
+        assert got == f"{path}: {_CSV_ERRORS[data]}"
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):
@@ -283,6 +289,26 @@ def test_deterministic_output_excluding_timing(tmp_path):
         doc = json.loads(open(out).read())
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=False))
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_multi_chunk_runs_are_deterministic(tmp_path, monkeypatch, algorithm):
+    # several embedding passes and split-scan chunks: the same input gives
+    # the same JSON outside timing
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", 1024)
+    x = np.random.default_rng(5).normal(size=3 * 1024 + 7)
+    x[1200:] += 1.5
+    x[2500:] -= 3.0
+    inp = _write(tmp_path / "x.csv", "\n".join(repr(float(v)) for v in x) + "\n")
+    docs = []
+    for run in range(2):
+        out = str(tmp_path / f"r{run}.json")
+        assert main(["segment", "--input", inp, "--output", out, "--algorithm", algorithm,
+                     "--dmax", "20"]) == EXIT_OK
+        doc = json.loads(open(out).read())
+        doc.pop("timing")
+        docs.append(json.dumps(doc))
     assert docs[0] == docs[1]
 
 

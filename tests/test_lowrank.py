@@ -153,8 +153,12 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
     np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
     np.testing.assert_array_equal(emb.prefix_sum, prefix, strict=True)
     np.testing.assert_array_equal(emb.prefix_sqnorm, sqnorm, strict=True)
-    np.testing.assert_array_equal(emb.prefix_norm_sq, np.einsum("ij,ij->i", prefix, prefix),
-                                  strict=True)
+    # stored feature-major: prefix_sum is the (n + 1, rank) view of a
+    # C-contiguous (rank, n + 1) array, and the norms are summed over it
+    ST = emb.prefix_sum.T
+    assert ST.flags.c_contiguous
+    assert emb.prefix_sum.base.shape == ST.shape and emb.prefix_sum.base.flags.c_contiguous
+    np.testing.assert_array_equal(emb.prefix_norm_sq, np.einsum("ij,ij->j", ST, ST), strict=True)
     # past one pass the features are per-pass products, equal to the
     # full-width product up to BLAS rounding: a p-term dot product is off
     # by at most about p u |proj| @ |K|, 6e-15 of that magnitude at p = 50
@@ -258,6 +262,59 @@ def test_best_split_infeasible_none(rng):
     emb = nystrom_embed(Signal(random_signal(rng, 6)), GaussianKernel(1.0), p=3, rule="grid")
     assert best_split(emb, 0, 3, ell=2) is None
     assert best_split(emb, 0, 4, ell=2) is not None
+
+
+def test_chunked_split_scan_is_its_chunk_by_chunk_reference(monkeypatch, rng):
+    # a scan over more than one chunk: one product per chunk of _W splits
+    # from lo, then the elementwise formula, then the first minimum
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    n = 3 * _W + 5
+    x = rng.normal(size=n)
+    x[2000:] += 2.0
+    emb = nystrom_embed(Signal(x), GaussianKernel(1.0), p=30, rule="grid")
+    start, end, ell = 7, n - 2, 3
+    cand = best_split(emb, start, end, ell)
+    ST, q, p2 = emb.prefix_sum.T, emb.prefix_sqnorm, emb.prefix_norm_sq
+    W = ST[:, (start, end)].T.copy()
+    lo, hi = start + ell, end - ell + 1
+    totals = []
+    for a in range(lo, hi, _W):
+        t = np.arange(a, min(a + _W, hi))
+        cross = -2.0 * (W @ ST[:, a : t[-1] + 1])
+        left = (q[t] - q[start]) - (p2[t] + cross[0] + p2[start]) / (t - start)
+        right = (q[end] - q[t]) - (cross[1] + p2[end] + p2[t]) / (end - t)
+        totals.append(left + right)
+    total = np.concatenate(totals)
+    i = int(np.argmin(total))
+    assert (cand.split, cand.gain) == (lo + i, embedded_segment_cost(emb, start, end) - total[i])
+    direct = [embedded_segment_cost(emb, start, t) + embedded_segment_cost(emb, t, end)
+              for t in range(lo, hi)]
+    assert cand.split == lo + int(np.argmin(direct)) == 2000
+
+
+def test_split_ties_across_chunk_edges_go_to_the_smallest_index(monkeypatch):
+    # every split of a constant signal costs exactly 0, in every chunk
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    emb = nystrom_embed(Signal(np.full(2 * _W + 50, 2.0)), LinearKernel(), points=np.array([[1.0]]))
+    for start, end, ell in ((0, emb.n, 1), (5, emb.n - 3, 4)):
+        cand = best_split(emb, start, end, ell)
+        assert (cand.split, cand.gain) == (start + ell, 0.0)
+
+
+def test_split_scans_hold_one_chunk_of_temporaries(monkeypatch, rng):
+    # n = 4 W + 3: the root scan as n-length vectors would hold about seven
+    # of them, 28 W floats; chunked, each scan holds about 9 W
+    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    n = 4 * _W + 3
+    emb = nystrom_embed(Signal(rng.normal(size=n)), GaussianKernel(1.0), p=20, rule="grid")
+    binary_segmentation(emb, dmax=4)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        binary_segmentation(emb, dmax=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * _W
 
 
 def test_binseg_nesting_and_lengths(rng):
