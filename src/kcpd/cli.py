@@ -1,11 +1,11 @@
 """Command-line interface: CSV in, JSON out, plus a benchmark harness.
 
 Exit codes: 0 on success, 2 for unreadable, undecodable, malformed or
-too-short input, an unwritable output path or a malformed flag value, 3 for an
-infeasible configuration. Reported change points are 1-based segment
-starts. Timing fields live under a separate "timing" key so that two runs
-with the same configuration and input produce byte-identical JSON once
-that key is dropped.
+too-short input, an unwritable output path, one file named for two outputs
+or a malformed flag value, 3 for an infeasible configuration. Reported
+change points are 1-based segment starts. Timing fields live under a
+separate "timing" key so that two runs with the same configuration and
+input produce byte-identical JSON once that key is dropped.
 """
 
 from __future__ import annotations
@@ -132,10 +132,22 @@ def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
     return np.asarray([row for _, row in rows], dtype=np.float64)
 
 
+# rows per write in save_csv: a block's floats and text take a few hundred
+# KB at q = 1, so the writer's memory does not grow with n
+_CSV_ROWS = 4096
+
+
 def save_csv(signal: Signal, path: str) -> None:
-    text = "".join(",".join(map(repr, row)) + "\n" for row in signal.data.tolist())
+    """Write one row per time point, each value in its shortest round-trip repr.
+
+    The rows go out in blocks of _CSV_ROWS: one ``tolist``, one ``%r`` format
+    string and one write per block.
+    """
+    row = ",".join(["%r"] * signal.q) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for a in range(0, signal.n, _CSV_ROWS):
+            block = signal.data[a:a + _CSV_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +470,17 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.truth and os.path.realpath(args.truth) == os.path.realpath(args.output):
+        raise InputError(f"--output and --truth name the same file, {args.output}")
+    for flag, value, ok, want in (
+        ("--n", args.n, args.n >= 1, "a positive integer"),
+        ("--seed", args.seed, args.seed >= 0, "a nonnegative integer"),
+        ("--num-changes", args.num_changes, args.num_changes >= 0, "a nonnegative integer"),
+        ("--jump", args.jump, math.isfinite(args.jump), "a finite number"),
+        ("--noise-sd", args.noise_sd, 0 <= args.noise_sd < math.inf, "a finite nonnegative number"),
+    ):
+        if not ok:
+            raise InputError(f"{flag} must be {want}, got {value!r}")
     if args.n < args.num_changes + 1:
         raise InfeasibleError(f"cannot place {args.num_changes} changes in {args.n} points")
     changes = equally_spaced_changes(args.n, args.num_changes)

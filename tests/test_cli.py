@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kcpd import GaussianKernel, LinearKernel, Signal, lowrank, segment_cost_direct
+from kcpd import GaussianKernel, LinearKernel, Signal, cli, lowrank, segment_cost_direct
 from kcpd.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -174,6 +177,46 @@ def test_save_csv_text(tmp_path):
     path = tmp_path / "sig.csv"
     save_csv(sig, str(path))
     assert path.read_bytes() == b"-0.0,0.1\n0.3333333333333333,5e-324\n1e+16,2.0\n"
+
+
+def _rows_text(sig):
+    """The per-row formula save_csv once used: the reference for its blocks."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in sig.data.tolist())
+
+
+# signed zero, subnormal, extremes, and values near repr's exponent switch
+_CSV_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    1e16, 9999999999999998.0, 1e-5, 0.1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(q=st.sampled_from([1, 2, 3, 9]), n=st.integers(1, 4 * 7 + 6), data=st.data())
+def test_save_csv_blocks_match_the_row_formula(tmp_path, monkeypatch, q, n, data):
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    value = st.sampled_from(_CSV_EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(st.lists(value, min_size=n * q, max_size=n * q))
+    sig = Signal(np.array(values).reshape(n, q))
+    path = tmp_path / "sig.csv"
+    save_csv(sig, str(path))
+    assert path.read_bytes() == _rows_text(sig).encode()
+    assert load_csv(str(path)).data.tobytes() == sig.data.tobytes()
+
+
+def test_save_csv_streams(tmp_path, monkeypatch):
+    # one block's floats, format string and text come to about 3.3 times its
+    # text; writing the whole signal at once would reach about 140 times
+    rows = 1024
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    sig = Signal(np.random.default_rng(0).normal(size=(16 * rows, 1)))
+    block_text = len(_rows_text(Signal(sig.data[:rows])))
+    tracemalloc.start()
+    try:
+        save_csv(sig, str(tmp_path / "sig.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block_text
 
 
 def test_infeasible_configuration_exit_code(tmp_path, capsys):
@@ -374,6 +417,42 @@ def test_full_pipeline_recovers_strong_jumps():
     assert doc["selection"]["d_hat"] == 11
     got = doc["selection"]["change_points"]
     assert all(abs(g - w) <= 2 for g, w in zip(got, changes))
+
+
+# (flags, exit code, error message)
+_SIMULATE_FLAG_CASES = [
+    ("--n 0", EXIT_INPUT, "--n must be a positive integer, got 0"),
+    ("--seed -1", EXIT_INPUT, "--seed must be a nonnegative integer, got -1"),
+    ("--num-changes -1", EXIT_INPUT, "--num-changes must be a nonnegative integer, got -1"),
+    ("--jump nan", EXIT_INPUT, "--jump must be a finite number, got nan"),
+    ("--jump inf", EXIT_INPUT, "--jump must be a finite number, got inf"),
+    ("--noise-sd -1", EXIT_INPUT, "--noise-sd must be a finite nonnegative number, got -1.0"),
+    ("--noise-sd inf", EXIT_INPUT, "--noise-sd must be a finite nonnegative number, got inf"),
+    # well-formed values the length cannot hold are infeasible
+    ("--n 5 --num-changes 5", EXIT_INFEASIBLE, "cannot place 5 changes in 5 points"),
+]
+
+
+@pytest.mark.parametrize("flags,code,message", _SIMULATE_FLAG_CASES,
+                         ids=[case[0] for case in _SIMULATE_FLAG_CASES])
+def test_simulate_flag_values(tmp_path, capsys, flags, code, message):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--output", str(out), *flags.split()]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_one_file_for_signal_and_truth(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    for truth in (str(tmp_path / "." / "s.csv"), str(link)):
+        rc = main(["simulate", "--n", "50", "--num-changes", "2", "--output", str(out),
+                   "--truth", truth])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --output and --truth name the same file")
+        assert not out.exists()
 
 
 def test_simulate_determinism(tmp_path):
