@@ -25,6 +25,12 @@ BIG = 1e300
 BIG_CUTOFF = 1e250
 
 
+def back_dtype(n: int) -> np.dtype:
+    """Back-pointer dtype for a signal of n points: the narrowest that holds
+    every start 0..n, 16-bit below 65536 points and 32-bit above."""
+    return np.dtype(np.uint16 if n <= np.iinfo(np.uint16).max else np.int32)
+
+
 def column_step(L, back, state, e, ell, dmax, snip):
     """Update the loss table at column e, the right boundary ``state.end``.
 
@@ -62,6 +68,10 @@ def column_step(L, back, state, e, ell, dmax, snip):
 # of surviving starts with L[r-1, s] cached beside them; every start not in
 # the lists (from the "tail" on) is scanned as one block. With no lists the
 # tail is ell, so the block covers every start: that is the dense mode.
+# In dense mode the block is formed in chunks of whole rows inside one
+# scratch buffer of at most scratch_floats(n, dmax) floats, rows in order,
+# so each row's sums and first minimum are those of a scan of the whole
+# block; with lists the block is at most _PERIOD + 2 ell columns wide.
 
 # Every period of _PERIOD + ell - 1 columns the lists are compacted (dense
 # mode probes instead); prunes decided in the first _PERIOD columns of a
@@ -77,6 +87,13 @@ _LEAVE = 4
 _REL_MARGIN = 2e-9
 
 
+def scratch_floats(n: int, dmax: int) -> int:
+    """Floats of the block scratch: max(1, dmax // 4) rows of n + 1, at most
+    the dmax - 2 rows of the block. Below 65536 points that is the room the
+    16-bit back-pointers free."""
+    return min(max(dmax - 2, 0), max(1, dmax // 4)) * (n + 1)
+
+
 class Snip:
     """Minimiser state for one exact sweep.
 
@@ -86,9 +103,14 @@ class Snip:
     any. ``scanned`` counts the (row, s) candidates evaluated.
     """
 
-    def __init__(self, n: int, diag_sum: float, prune: bool):
+    def __init__(self, n: int, dmax: int, diag_sum: float, prune: bool):
         self.prune = prune
         self.scanned = 0
+        self.scratch = scratch_floats(n, dmax)
+        # numpy buffers a 2-D add whose rows hold at most a third of its
+        # buffer, outside the scratch (up to three 64 KB buffers), so the
+        # dense scan adds rows that short one at a time
+        self.short_row = np.getbufsize() // 3
         # Costs come from suffix sums of A and diag; for a PSD kernel every
         # partial sum is bounded by (length) * sum(diag), so the rounding
         # error of any computed cost is below about 2 u n sum(diag). The
@@ -98,20 +120,24 @@ class Snip:
         self._drop_lists()
 
     @staticmethod
-    def table_bytes(n: int, dmax: int) -> int:
-        """Bytes of the candidate lists at their cap, the most entries they
-        hold between compactions: an int32 start, a float64 cached loss and
-        a pruned flag per entry."""
-        return 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)
+    def table_bytes(n: int, dmax: int, prune: bool) -> int:
+        """Bytes of the minimiser's tables: the block scratch and, when it
+        prunes, the candidate lists at their cap, the most entries they
+        hold between compactions (an int32 start, a float64 cached loss and
+        a pruned flag per entry). The scratch fills up only in dense mode,
+        where the lists are empty (but for a probe's survivors, at most
+        1/_ENTER of its scan, pending for ell - 1 columns), so the two
+        share one allowance."""
+        scratch = 8 * scratch_floats(n, dmax)
+        return max(scratch, 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
 
     def _drop_lists(self):
         self.cs = self.lc = self.gone = self.counts = self.starts = None
         self.m = 0  # rows held in the lists: rows 2..m+1
         self.tail = 0  # first start not in the lists (scanned from ell on)
 
-    def _cut(self, L, e, rows):
-        # per-row pruning threshold for rows 2..rows+1
-        thr = L[1 : rows + 1, e]
+    def _cut(self, thr):
+        # pruning thresholds of the rows after those whose losses are thr
         return thr + (_REL_MARGIN * np.abs(thr) + self.tau)
 
     def minimize(self, L, back, cbuf, e, ell, d_hi):
@@ -123,57 +149,97 @@ class Snip:
         i1 = int(v1.argmin())
         L[1, e] = v1[i1]
         back[1, e] = i1 + lo
+        m = self.m
+        if not m:
+            self._dense(L, back, cbuf, e, ell, d_hi)
+            return
+        # the block from the tail on is at most _PERIOD + 2 ell columns wide
         t0 = max(self.tail, lo)
         tv = L[1 : d_hi - 1, t0:hi] + cbuf[t0:hi]
         best_s = tv.argmin(axis=1)
         best = tv.ravel().take(best_s + np.arange(0, tv.size, tv.shape[1]))
         best_s += t0
-        self.scanned += (hi - lo) + tv.size
-        m = self.m
-        if m:
-            v = cbuf.take(self.cs)
-            v += self.lc
-            self.scanned += v.size
-            mins = np.minimum.reduceat(v, self.starts)
-            hit = (v == mins.repeat(self.counts)).nonzero()[0]
-            first = hit[hit.searchsorted(self.starts)]
-            # list starts precede the tail, so they win ties
-            win = mins <= best[:m]
-            first = first[win]
-            best[:m][win] = v[first]
-            best_s[:m][win] = self.cs[first]
+        v = cbuf.take(self.cs)
+        v += self.lc
+        self.scanned += (hi - lo) + tv.size + v.size
+        mins = np.minimum.reduceat(v, self.starts)
+        hit = (v == mins.repeat(self.counts)).nonzero()[0]
+        first = hit[hit.searchsorted(self.starts)]
+        # list starts precede the tail, so they win ties
+        win = mins <= best[:m]
+        first = first[win]
+        best[:m][win] = v[first]
+        best_s[:m][win] = self.cs[first]
         L[2:d_hi, e] = best
         back[2:d_hi, e] = best_s
-        period = _PERIOD + ell - 1
-        if not m:
-            # with no lists, tv holds rows 2.. over every start
-            if self.pending is None and self.prune and d_hi >= 3 and e % period == 0:
-                self._probe(L, tv, e, ell, lo, hi)
-            if self.pending is not None and e >= self.pending[1]:
-                self._set_lists(*self.pending[0])
-                self.pending = None
-            return
         # a start dominated at e may still win until e + ell - 1; the
         # compaction at the end of this period drops it
+        period = _PERIOD + ell - 1
         if (-e) % period >= ell - 1:
-            self.gone |= v > self._cut(L, e, m).repeat(self.counts)
+            self.gone |= v > self._cut(L[1 : m + 1, e]).repeat(self.counts)
         if e % period == 0:
             self._compact(L, lo, hi, d_hi - 2)
 
-    def _probe(self, L, slab, e, ell, lo, hi):
-        # slab holds rows 2..d_hi-1 at column e; a dominated start may
-        # still win until e + ell - 1, so lists built from its survivors
-        # take over only after that column
-        keep = slab <= self._cut(L, e, slab.shape[0])[:, None]
-        keep[:, -1] = True  # no row starts empty
-        if np.count_nonzero(keep) * _ENTER > keep.size:
-            return
-        flat = np.flatnonzero(keep)
-        rows = flat // keep.shape[1]
-        cs = (flat - rows * keep.shape[1] + lo).astype(np.int32)
-        lc = L[rows + 1, cs]
-        counts = np.count_nonzero(keep, axis=1)
-        self.pending = ((cs, lc, counts, hi), e + ell - 1)
+    def _dense(self, L, back, cbuf, e, ell, d_hi):
+        # rows 2.. over every start, in chunks of whole rows in the scratch;
+        # a probe reads them chunk by chunk
+        lo, hi = ell, e - ell + 1
+        nr, w = d_hi - 2, hi - lo
+        self.scanned += w + nr * w
+        probe = self.pending is None and self.prune and e % (_PERIOD + ell - 1) == 0
+        found, room = ([], nr * w // _ENTER) if probe else (None, 0)
+        # row 1's loss, then each row's minimum and its start as the chunks
+        # finish; L and back get them in one strided write at the end
+        best = np.empty(nr + 1)
+        best[0] = L[1, e]
+        best_s = np.empty(nr, dtype=np.intp)
+        if nr:
+            c = cbuf[lo:hi]
+            buf = np.empty(min(nr * w, self.scratch))
+            rows = buf.size // w
+            for a in range(0, nr, rows):
+                b = min(a + rows, nr)
+                v = buf[: (b - a) * w].reshape(b - a, w)
+                if w > self.short_row:
+                    np.add(L[1 + a : 1 + b, lo:hi], c, out=v)
+                else:
+                    for i in range(b - a):
+                        np.add(L[1 + a + i, lo:hi], c, out=v[i])
+                s = v.argmin(axis=1, out=best_s[a:b])
+                best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
+                if found is not None:
+                    piece = self._survivors(L, v, best[a:b], a, lo, room)
+                    if piece is None:
+                        found = None
+                    else:
+                        found.append(piece)
+                        room -= piece[0].size
+            best_s += lo
+        L[2:d_hi, e] = best[1:]
+        back[2:d_hi, e] = best_s
+        if found:
+            # a dominated start may still win until e + ell - 1, so lists
+            # built from the survivors take over only after that column
+            cs, lc, counts = (np.concatenate(p) for p in zip(*found))
+            self.pending = ((cs, lc, counts, hi), e + ell - 1)
+        if self.pending is not None and e >= self.pending[1]:
+            self._set_lists(*self.pending[0])
+            self.pending = None
+
+    def _survivors(self, L, v, prev, a, lo, room):
+        # rows 2+a.. of the dense block, whose previous rows' losses at this
+        # column are prev: the starts a probe keeps (starts, cached losses,
+        # per-row counts), or None when there are more than room of them;
+        # v becomes the survivor mask
+        np.less_equal(v, self._cut(prev)[:, None], out=v)
+        v[:, -1] = 1.0  # no row starts empty
+        counts = np.count_nonzero(v, axis=1)
+        if counts.sum() > room:
+            return None
+        flat = np.flatnonzero(v)
+        rows = flat // v.shape[1]
+        cs = (flat - rows * v.shape[1] + lo).astype(np.int32)
+        return cs, L[rows + a + 1, cs], counts
 
     def _set_lists(self, cs, lc, counts, tail):
         self.cs, self.lc, self.counts = cs, lc, counts

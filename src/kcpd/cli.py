@@ -448,7 +448,20 @@ def _check_writable(*paths: str | None) -> None:
             raise OSError(f"cannot write {path}: not a file path in a writable directory")
 
 
+def _check_flags(*checks) -> None:
+    """Raise InputError for the first (flag, value, ok, wanted) check that fails."""
+    for flag, value, ok, want in checks:
+        if not ok:
+            raise InputError(f"{flag} must be {want}, got {value!r}")
+
+
 def _cmd_segment(args) -> int:
+    energy = args.kernel == "energy" or (args.kernel == "sum" and args.sum_child == "energy")
+    _check_flags(
+        ("--delta", args.delta, 0 < args.delta < math.inf, "a finite positive number"),
+        ("--alpha", args.alpha, not energy or 0 < args.alpha < 2, "in (0, 2) for the energy kernel"),
+        ("--landmarks", args.landmarks, args.landmarks is None or args.landmarks >= 1, "at least 1"),
+    )
     signal = load_csv(args.input)
     spec = build_kernel(args.kernel, args.delta, args.alpha, args.x0, signal.q, args.sum_child)
     if args.algorithm == "exact" and (args.landmarks is not None or args.landmark_rule is not None):
@@ -472,15 +485,13 @@ def _cmd_segment(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.truth and os.path.realpath(args.truth) == os.path.realpath(args.output):
         raise InputError(f"--output and --truth name the same file, {args.output}")
-    for flag, value, ok, want in (
+    _check_flags(
         ("--n", args.n, args.n >= 1, "a positive integer"),
         ("--seed", args.seed, args.seed >= 0, "a nonnegative integer"),
         ("--num-changes", args.num_changes, args.num_changes >= 0, "a nonnegative integer"),
         ("--jump", args.jump, math.isfinite(args.jump), "a finite number"),
         ("--noise-sd", args.noise_sd, 0 <= args.noise_sd < math.inf, "a finite nonnegative number"),
-    ):
-        if not ok:
-            raise InputError(f"{flag} must be {want}, got {value!r}")
+    )
     if args.n < args.num_changes + 1:
         raise InfeasibleError(f"cannot place {args.num_changes} changes in {args.n} points")
     changes = equally_spaced_changes(args.n, args.num_changes)

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _dp_core
-from ._dp_core import BIG, BIG_CUTOFF
+from ._dp_core import BIG, BIG_CUTOFF, back_dtype
 from .kernels import KernelSpec, Signal, as_signal
 
 __all__ = [
@@ -312,13 +312,13 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     check_feasible(n, dmax, ell)
 
     L = np.full((dmax, n + 1), BIG)
-    back = np.zeros((dmax, n + 1), dtype=np.int32) if dmax > 1 else None
-    state = CostColumnState.initial(sig, spec)
-    snip = _dp_core.Snip(n, float(state.diag.sum()), spec.psd)
+    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
 
     # an overflowing kernel trips numpy warnings on its way to the
     # non-finite cost that the guard below reports
     with np.errstate(over="ignore", invalid="ignore"):
+        state = CostColumnState.initial(sig, spec)
+        snip = _dp_core.Snip(n, dmax, float(state.diag.sum()), spec.psd)
         for e in range(1, n + 1):
             if e >= 2:
                 state.advance()
@@ -334,10 +334,11 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     """Bytes :func:`kernseg_exact` allocates for its persistent tables.
 
     L and back, the column state A, comp and diag, the scratch column, and
-    for a PSD kernel the pruning lists at their cap."""
-    back = dmax * (n + 1) * 4 if dmax > 1 else 0
-    lists = _dp_core.Snip.table_bytes(n, dmax) if psd else 0
-    return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + lists
+    the minimiser's block scratch, which for a PSD kernel shares its room
+    with the pruning lists at their cap."""
+    back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
+    minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
+    return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser
 
 
 def _direct_cost_table(sig: Signal, spec: KernelSpec) -> np.ndarray:
@@ -381,7 +382,7 @@ def naive_dp(signal, spec: KernelSpec, dmax: int, max_n: int = NAIVE_DEFAULT_CAP
 
     C = _direct_cost_table(sig, spec)
     L = np.full((dmax, n + 1), BIG)
-    back = np.zeros((dmax, n + 1), dtype=np.int32) if dmax > 1 else None
+    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
     L[0, 1:] = C[0, 1:]
     cells = 0
     for r in range(1, dmax):

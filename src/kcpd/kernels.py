@@ -431,6 +431,19 @@ def evaluate(spec: KernelSpec, x, y) -> float:
     return spec.pair(x, y)
 
 
+def _median_rows(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0) of finite data, bit for bit, by numpy's recipe.
+
+    The same partition (kth with -1, as numpy's NaN check needs) and the
+    same mean of the middle rows, without the NaN check itself, whose
+    masked-array test imports numpy.ma: a Signal holds no NaN.
+    """
+    h = a.shape[0] // 2
+    if a.shape[0] % 2:
+        return np.mean(np.partition(a, [h, -1], axis=0)[h : h + 1], axis=0)
+    return np.mean(np.partition(a, [h - 1, h, -1], axis=0)[h - 1 : h + 1], axis=0)
+
+
 def mad_scale(signal) -> tuple[Signal, np.ndarray]:
     """Scale each coordinate by a robust noise estimate.
 
@@ -448,13 +461,18 @@ def mad_scale(signal) -> tuple[Signal, np.ndarray]:
         raise ValueError(f"need at least 4 time points to estimate scale, got {sig.n}")
     X = sig.data
     half = sig.n // 2
-    d = X[1 : 2 * half : 2] - X[0 : 2 * half : 2]
-    med = np.median(d, axis=0)
-    mad = np.median(np.abs(d - med), axis=0)
-    sigma = mad * (MAD_CONSISTENCY / math.sqrt(2.0))
-    scaled = X.copy()
-    nz = sigma > 0
-    scaled[:, nz] /= sigma[nz]
+    # differences of values near the float range, or a subnormal scale,
+    # overflow: reported below as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = X[1 : 2 * half : 2] - X[0 : 2 * half : 2]
+        med = _median_rows(d)
+        mad = _median_rows(np.abs(d - med))
+        sigma = mad * (MAD_CONSISTENCY / math.sqrt(2.0))
+        scaled = X.copy()
+        nz = sigma > 0
+        scaled[:, nz] /= sigma[nz]
+    if not (np.isfinite(sigma).all() and np.isfinite(scaled).all()):
+        raise ValueError("robust scaling overflows: the signal's spread is beyond the float range")
     return Signal(scaled), sigma
 
 

@@ -219,6 +219,9 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         if not math.isfinite(sqnorm[-1]):
             raise overflow_error(spec, "embedding")
         norm_sq = np.einsum("ij,ij->j", prefix, prefix)
+        # the segment costs difference these sums: |S_e - S_s|^2 <= 4 max |S_t|^2
+        if not math.isfinite(4.0 * norm_sq.max()):
+            raise overflow_error(spec, "embedding")
     return Embedding(rule=rule, dropped=dropped, prefix_sum=prefix.T, prefix_sqnorm=sqnorm,
                      prefix_norm_sq=norm_sq, data=X, maps=maps)
 

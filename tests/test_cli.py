@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +237,91 @@ def test_infeasible_configuration_exit_code(tmp_path, capsys):
         rc = main(["segment", "--input", p, *flags])
         assert rc == EXIT_INFEASIBLE
         assert capsys.readouterr().err == f"error: {line}\n"
+
+
+# (flags, error message): malformed values a segment run refuses before it reads its input
+_SEGMENT_FLAG_CASES = [
+    ("--delta 0", "--delta must be a finite positive number, got 0.0"),
+    ("--delta -1", "--delta must be a finite positive number, got -1.0"),
+    ("--delta nan", "--delta must be a finite positive number, got nan"),
+    ("--delta inf --kernel linear", "--delta must be a finite positive number, got inf"),
+    ("--alpha 0 --kernel energy", "--alpha must be in (0, 2) for the energy kernel, got 0.0"),
+    ("--alpha 2 --kernel energy", "--alpha must be in (0, 2) for the energy kernel, got 2.0"),
+    ("--alpha nan --kernel sum --sum-child energy",
+     "--alpha must be in (0, 2) for the energy kernel, got nan"),
+    ("--landmarks 0 --algorithm lowrank-binseg", "--landmarks must be at least 1, got 0"),
+    ("--landmarks -3", "--landmarks must be at least 1, got -3"),
+]
+
+
+@pytest.mark.parametrize("flags,message", _SEGMENT_FLAG_CASES,
+                         ids=[case[0] for case in _SEGMENT_FLAG_CASES])
+def test_segment_flag_values(tmp_path, capsys, monkeypatch, flags, message):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run went on past a malformed flag")
+
+    monkeypatch.setattr("kcpd.cli.load_csv", unreached)
+    monkeypatch.setattr("kcpd.cli._solve", unreached)
+    out = tmp_path / "out.json"
+    rc = main(["segment", "--input", str(tmp_path / "x.csv"), "--output", str(out), *flags.split()])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_alpha_is_checked_only_for_the_energy_kernel(tmp_path):
+    p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
+    assert main(["segment", "--input", p, "--dmax", "10", "--alpha", "3",
+                 "--output", str(tmp_path / "o.json")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_segment_does_not_import_numpy_ma(tmp_path, algorithm):
+    # numpy.ma costs about 1 MB and 12 ms; np.median's NaN check imports it
+    p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
+    code = ("import sys; from kcpd import cli; "
+            f"rc = cli.main(['segment', '--input', {p!r}, '--dmax', '10', '--algorithm', {algorithm!r}, "
+            f"'--output', {str(tmp_path / 'o.json')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+# finite values from 1e-310 (subnormal) to 1e307, either sign, and zeros
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m, e: sign * m * 10.0**e,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-310, 306)),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(q=st.integers(1, 2), n=st.integers(1, 48), data=st.data())
+def test_segment_fuzz_ends_cleanly(tmp_path, q, n, data):
+    """Any finite CSV: every kernel and engine exits 0, 2 or 3, warns
+    nothing, and reports finite losses when it succeeds."""
+    arr = np.array(data.draw(st.lists(_FUZZ_VALUES, min_size=n * q, max_size=n * q)))
+    src = str(tmp_path / "fuzz.csv")
+    save_csv(Signal(arr.reshape(n, q)), src)
+    out = tmp_path / "fuzz.json"
+    for kernel in _FAMILIES:
+        for algorithm in ("exact", "lowrank-binseg"):
+            for extra in ([], ["--no-scale"], ["--min-seg-len", "3"], ["--no-scale", "--min-seg-len", "3"]):
+                argv = ["segment", "--input", src, "--output", str(out), "--dmax", "10",
+                        "--kernel", kernel, "--algorithm", algorithm, *extra]
+                if out.exists():
+                    out.unlink()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = main(argv)
+                assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+                assert rc in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE), argv
+                if rc == EXIT_OK:
+                    doc = json.loads(out.read_text())
+                    assert all(math.isfinite(row["loss"]) for row in doc["per_d"]), argv
 
 
 def test_one_penalty_constant_is_an_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact segmenter: cost oracles, the column recurrence, and the DP table."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from kcpd import (
     segment_cost_direct,
 )
 from kcpd import _dp_core
+from kcpd.exact_dp import kernseg_table_bytes
 
 from conftest import best_by_enumeration, direct_cost_matrix, random_signal
 
@@ -379,6 +381,57 @@ def test_table_allocation_within_budget(rng):
         assert res.table_numbers <= 2 * dmax * (n + 1) + 3 * (n + 1)
 
 
+def _sweep_case(case):
+    """(signal, kernel, dmax, ell) of the sweeps whose memory is checked."""
+    if case == "pruned-mean":
+        rng = np.random.default_rng(4000)
+        x = rng.normal(size=4000) + np.repeat(rng.uniform(-4, 4, 8), 500)
+        return Signal(x), GaussianKernel(1.0), 100, 1
+    if case == "dense-exponential":
+        rng = np.random.default_rng(7)
+        x = np.repeat(rng.uniform(-2, 2, 8), 500) + 0.3 * rng.normal(size=4000)
+        return Signal(x), ExponentialKernel(4.0), 100, 1
+    # mostly dense, with probes and short-lived lists (as in PINNED_CELLS)
+    rng = np.random.default_rng(3000)
+    x = rng.normal(size=(3000, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), 300, axis=0)
+    return Signal(x), LaplaceKernel(1.0), 12, 30
+
+
+@pytest.mark.parametrize("case", ["pruned-mean", "dense-exponential", "laplace-2d"])
+def test_sweep_peak_within_counted_tables(case):
+    # the traced peak of a whole sweep: its counted tables plus at most four
+    # columns of temporaries (row 1's candidates, the cost column's lengths
+    # and suffix sums, a kernel column's work)
+    sig, spec, dmax, ell = _sweep_case(case)
+    tracemalloc.start()
+    try:
+        kernseg_exact(sig, spec, dmax, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+
+
+def test_back_pointer_dtype_fits_n():
+    # back-pointers hold starts 0..n: 16 bits up to n = 65535, 32 above
+    for n, dtype in ((65535, np.uint16), (65536, np.int32)):
+        assert _dp_core.back_dtype(n) == dtype
+        for dmax, psd in ((2, False), (3, True), (100, True), (100, False)):
+            rest = 8 * dmax * (n + 1) + 8 * (4 * n + 1) + _dp_core.Snip.table_bytes(n, dmax, psd)
+            back = kernseg_table_bytes(n, dmax, psd) - rest
+            assert back == np.dtype(dtype).itemsize * dmax * (n + 1)
+
+
+def test_small_sweep_backtracks_like_naive(rng):
+    sig = Signal(random_signal(rng, 60))
+    for spec in KERNELS:
+        res = kernseg_exact(sig, spec, dmax=12)
+        ref = naive_dp(sig, spec, dmax=12)
+        assert res._back.dtype == np.uint16 and ref._back.dtype == np.uint16
+        for d in range(1, 13):
+            assert res.backtrack(d) == ref.backtrack(d)
+
+
 def test_result_arrays_read_only(rng):
     res = kernseg_exact(Signal(random_signal(rng, 20)), GaussianKernel(1.0), dmax=4)
     with pytest.raises(ValueError):
@@ -490,6 +543,42 @@ def test_forced_switches_keep_tables_bitwise(switch):
         with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
             pruned = kernseg_exact(Signal(x), spec, dmax, ell)
         _assert_same_tables(pruned, dense)
+
+
+def _one_row(n, dmax):
+    return n + 1
+
+
+def _whole_block(n, dmax):
+    return max(dmax - 2, 1) * (n + 1)
+
+
+@pytest.mark.parametrize("switch", ["builtin", "eager", "thrash"])
+def test_chunked_block_keeps_tables_bitwise(switch):
+    # a one-row block scratch: late columns scan rows 2.. one or two rows at
+    # a time and probe them chunk by chunk; the reference scans each column's
+    # block at once
+    rng = np.random.default_rng(47)
+    families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
+    for trial in range(40):
+        spec = families[trial % 4]
+        n = int(rng.integers(60, 160))
+        ell = int(rng.integers(1, 5))
+        dmax = min(int(rng.integers(3, 16)), n // ell)
+        x = rng.normal(size=n)
+        for _ in range(int(rng.integers(1, 8))):
+            x[int(rng.integers(1, n)) :] += rng.normal(0, 3)
+        if trial % 5 == 0:
+            x = np.round(x)
+        runs = {}
+        for scratch in (_whole_block, _one_row):
+            with mock.patch.multiple(_dp_core, scratch_floats=scratch, **SWITCHES[switch]):
+                runs[scratch] = (kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell),
+                                 kernseg_exact(Signal(x), spec, dmax, ell))
+        for whole, chunked in zip(runs[_whole_block], runs[_one_row]):
+            _assert_same_tables(chunked, whole)
+            _assert_same_tables(chunked, runs[_whole_block][0])
+            assert chunked.cells_scanned == whole.cells_scanned
 
 
 # candidates scanned over the sweep: dp_cells_scanned is part of the CLI's JSON

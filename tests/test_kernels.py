@@ -20,7 +20,7 @@ from kcpd import (
     evaluate,
     mad_scale,
 )
-from kcpd.kernels import _sq_dists
+from kcpd.kernels import _median_rows, _sq_dists
 
 ALL_FAMILIES = [
     LinearKernel(),
@@ -255,6 +255,33 @@ def test_mad_scale_robust_to_jumps(rng):
 def test_mad_scale_short_signal_rejected():
     with pytest.raises(ValueError):
         mad_scale(Signal([1.0, 2.0, 3.0]))
+
+
+def test_mad_scale_overflow_is_one_error():
+    # differences beyond the float range; a subnormal scale under a large value
+    big = [1.7e308, -1.7e308] * 4
+    tiny = [v for d in (1e-310, 2e-310, 4e-310, 1e300, 5e-310) for v in (0.0, d)]
+    for x in (big, tiny):
+        with pytest.raises(ValueError, match="robust scaling overflows"):
+            mad_scale(Signal(x))
+
+
+# ties, both zeros, and magnitudes from 1e-300 to 1e300
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    q=st.integers(1, 3),
+    data=st.data(),
+)
+def test_median_rows_is_numpys_median_bitwise(m, q, data):
+    a = np.array(data.draw(st.lists(_MEDIAN_VALUES, min_size=m * q, max_size=m * q))).reshape(m, q)
+    assert _median_rows(a).tobytes() == np.median(a, axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
