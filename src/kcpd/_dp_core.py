@@ -88,10 +88,15 @@ _REL_MARGIN = 2e-9
 
 
 def scratch_floats(n: int, dmax: int) -> int:
-    """Floats of the block scratch: max(1, dmax // 4) rows of n + 1, at most
-    the dmax - 2 rows of the block. Below 65536 points that is the room the
-    16-bit back-pointers free."""
-    return min(max(dmax - 2, 0), max(1, dmax // 4)) * (n + 1)
+    """Floats of the block scratch: whole rows of n + 1, as many as fit
+    beside a probe's survivors (12 bytes for each of up to 1/_ENTER of the
+    block's cells) within the candidate lists' cap (13 bytes for each of up
+    to 1/_LEAVE of them); at least one and at most the dmax - 2 rows of the
+    block. Below 65536 points that is within the room the 16-bit
+    back-pointers free."""
+    cells = max(dmax - 2, 0) * (n + 1)
+    rows = (13 * (cells // _LEAVE) - 12 * (cells // _ENTER)) // (8 * (n + 1))
+    return min(max(dmax - 2, 0), max(1, rows)) * (n + 1)
 
 
 class Snip:
@@ -107,10 +112,6 @@ class Snip:
         self.prune = prune
         self.scanned = 0
         self.scratch = scratch_floats(n, dmax)
-        # numpy buffers a 2-D add whose rows hold at most a third of its
-        # buffer, outside the scratch (up to three 64 KB buffers), so the
-        # dense scan adds rows that short one at a time
-        self.short_row = np.getbufsize() // 3
         # Costs come from suffix sums of A and diag; for a PSD kernel every
         # partial sum is bounded by (length) * sum(diag), so the rounding
         # error of any computed cost is below about 2 u n sum(diag). The
@@ -124,12 +125,14 @@ class Snip:
         """Bytes of the minimiser's tables: the block scratch and, when it
         prunes, the candidate lists at their cap, the most entries they
         hold between compactions (an int32 start, a float64 cached loss and
-        a pruned flag per entry). The scratch fills up only in dense mode,
-        where the lists are empty (but for a probe's survivors, at most
-        1/_ENTER of its scan, pending for ell - 1 columns), so the two
-        share one allowance."""
-        scratch = 8 * scratch_floats(n, dmax)
-        return max(scratch, 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
+        a pruned flag per entry). The scratch fills only in dense mode,
+        where the lists are empty but for a probe's survivors (at most
+        1/_ENTER of the block's cells, 12 bytes each), so the lists' cap
+        and the scratch with those survivors share one allowance."""
+        if not prune:
+            return 8 * scratch_floats(n, dmax)
+        cells = max(dmax - 2, 0) * (n + 1)
+        return max(13 * (cells // _LEAVE), 8 * scratch_floats(n, dmax) + 12 * (cells // _ENTER))
 
     def _drop_lists(self):
         self.cs = self.lc = self.gone = self.counts = self.starts = None
@@ -178,11 +181,13 @@ class Snip:
         if (-e) % period >= ell - 1:
             self.gone |= v > self._cut(L[1 : m + 1, e]).repeat(self.counts)
         if e % period == 0:
+            del v  # before the compaction copies the lists
             self._compact(L, lo, hi, d_hi - 2)
 
     def _dense(self, L, back, cbuf, e, ell, d_hi):
-        # rows 2.. over every start, in chunks of whole rows in the scratch;
-        # a probe reads them chunk by chunk
+        # rows 2.. over every start, in chunks of whole rows in the scratch,
+        # one row add at a time (numpy buffers a 2-D add of short rows
+        # outside the scratch); a probe reads them chunk by chunk
         lo, hi = ell, e - ell + 1
         nr, w = d_hi - 2, hi - lo
         self.scanned += w + nr * w
@@ -200,46 +205,44 @@ class Snip:
             for a in range(0, nr, rows):
                 b = min(a + rows, nr)
                 v = buf[: (b - a) * w].reshape(b - a, w)
-                if w > self.short_row:
-                    np.add(L[1 + a : 1 + b, lo:hi], c, out=v)
-                else:
-                    for i in range(b - a):
-                        np.add(L[1 + a + i, lo:hi], c, out=v[i])
+                for i in range(b - a):
+                    np.add(L[1 + a + i, lo:hi], c, out=v[i])
                 s = v.argmin(axis=1, out=best_s[a:b])
                 best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
                 if found is not None:
-                    piece = self._survivors(L, v, best[a:b], a, lo, room)
-                    if piece is None:
+                    room = self._survivors(L, v, best[a:b], a, lo, room, found)
+                    if room is None:
                         found = None
-                    else:
-                        found.append(piece)
-                        room -= piece[0].size
+            del buf, v
             best_s += lo
         L[2:d_hi, e] = best[1:]
         back[2:d_hi, e] = best_s
         if found:
             # a dominated start may still win until e + ell - 1, so lists
             # built from the survivors take over only after that column
-            cs, lc, counts = (np.concatenate(p) for p in zip(*found))
+            counts = np.array([p[0].size for p in found])
+            cs, lc = (np.concatenate(p) for p in zip(*found))
+            del found
             self.pending = ((cs, lc, counts, hi), e + ell - 1)
         if self.pending is not None and e >= self.pending[1]:
             self._set_lists(*self.pending[0])
             self.pending = None
 
-    def _survivors(self, L, v, prev, a, lo, room):
+    def _survivors(self, L, v, prev, a, lo, room, found):
         # rows 2+a.. of the dense block, whose previous rows' losses at this
-        # column are prev: the starts a probe keeps (starts, cached losses,
-        # per-row counts), or None when there are more than room of them;
-        # v becomes the survivor mask
+        # column are prev: appends each row's surviving starts and their
+        # cached losses to found, row by row, and returns the room left, or
+        # None when more than room of them survive; v becomes the mask
         np.less_equal(v, self._cut(prev)[:, None], out=v)
         v[:, -1] = 1.0  # no row starts empty
-        counts = np.count_nonzero(v, axis=1)
-        if counts.sum() > room:
+        room -= np.count_nonzero(v)
+        if room < 0:
             return None
-        flat = np.flatnonzero(v)
-        rows = flat // v.shape[1]
-        cs = (flat - rows * v.shape[1] + lo).astype(np.int32)
-        return cs, L[rows + a + 1, cs], counts
+        for i in range(v.shape[0]):
+            s = v[i].nonzero()[0]
+            s += lo
+            found.append((s.astype(np.int32), L[a + i + 1, s]))
+        return room
 
     def _set_lists(self, cs, lc, counts, tail):
         self.cs, self.lc, self.counts = cs, lc, counts
@@ -250,7 +253,7 @@ class Snip:
 
     def _compact(self, L, lo, hi, nr):
         # drop the pruned starts and append the tail to rows 2..nr+1
-        keep = ~self.gone
+        keep = np.logical_not(self.gone, out=self.gone)
         kept = np.add.reduceat(keep, self.starts, dtype=np.int64)
         kt = hi - self.tail
         if (int(kept.sum()) + nr * kt) * _LEAVE > nr * (hi - lo):
@@ -260,6 +263,7 @@ class Snip:
         counts[: self.m] = kept
         at = np.repeat(np.cumsum(counts), kt)
         new = np.arange(self.tail, hi, dtype=np.int32)
-        cs = np.insert(self.cs[keep], at, np.tile(new, nr))
-        lc = np.insert(self.lc[keep], at, L[1 : nr + 1, self.tail : hi].ravel())
-        self._set_lists(cs, lc, counts + kt, hi)
+        # one list at a time, so each old one goes as its new one is made
+        self.cs = np.insert(self.cs[keep], at, np.tile(new, nr))
+        self.lc = np.insert(self.lc[keep], at, L[1 : nr + 1, self.tail : hi].ravel())
+        self._set_lists(self.cs, self.lc, counts + kt, hi)

@@ -456,10 +456,13 @@ def _check_flags(*checks) -> None:
 
 
 def _cmd_segment(args) -> int:
-    energy = args.kernel == "energy" or (args.kernel == "sum" and args.sum_child == "energy")
+    # the flags the selected family uses, directly or as every coordinate of a sum
+    uses = _FAMILIES[args.sum_child if args.kernel == "sum" else args.kernel][1]
     _check_flags(
-        ("--delta", args.delta, 0 < args.delta < math.inf, "a finite positive number"),
-        ("--alpha", args.alpha, not energy or 0 < args.alpha < 2, "in (0, 2) for the energy kernel"),
+        ("--delta", args.delta, "delta" not in uses or 0 < args.delta < math.inf,
+         "a finite positive number"),
+        ("--alpha", args.alpha, "alpha" not in uses or 0 < args.alpha < 2,
+         "in (0, 2) for the energy kernel"),
         ("--landmarks", args.landmarks, args.landmarks is None or args.landmarks >= 1, "at least 1"),
     )
     signal = load_csv(args.input)

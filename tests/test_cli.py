@@ -244,7 +244,8 @@ _SEGMENT_FLAG_CASES = [
     ("--delta 0", "--delta must be a finite positive number, got 0.0"),
     ("--delta -1", "--delta must be a finite positive number, got -1.0"),
     ("--delta nan", "--delta must be a finite positive number, got nan"),
-    ("--delta inf --kernel linear", "--delta must be a finite positive number, got inf"),
+    ("--delta inf --kernel laplace", "--delta must be a finite positive number, got inf"),
+    ("--delta 0 --kernel sum --sum-child exponential", "--delta must be a finite positive number, got 0.0"),
     ("--alpha 0 --kernel energy", "--alpha must be in (0, 2) for the energy kernel, got 0.0"),
     ("--alpha 2 --kernel energy", "--alpha must be in (0, 2) for the energy kernel, got 2.0"),
     ("--alpha nan --kernel sum --sum-child energy",
@@ -269,9 +270,12 @@ def test_segment_flag_values(tmp_path, capsys, monkeypatch, flags, message):
     assert not out.exists()
 
 
-def test_alpha_is_checked_only_for_the_energy_kernel(tmp_path):
+@pytest.mark.parametrize("flags", ["--alpha 3", "--delta 0 --kernel linear",
+                                   "--delta -1 --kernel energy", "--delta nan --kernel sum --sum-child linear"])
+def test_unused_kernel_flags_are_not_checked(tmp_path, flags):
+    # --delta and --alpha are checked only where the selected family uses them
     p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
-    assert main(["segment", "--input", p, "--dmax", "10", "--alpha", "3",
+    assert main(["segment", "--input", p, "--dmax", "10", *flags.split(),
                  "--output", str(tmp_path / "o.json")]) == EXIT_OK
 
 

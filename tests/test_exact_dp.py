@@ -412,6 +412,34 @@ def test_sweep_peak_within_counted_tables(case):
     assert peak <= kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
 
 
+def test_dense_columns_peak_within_counted_tables():
+    # Dmax = 100 with a probe that keeps about 12% of its block, near the
+    # 1/_ENTER entry threshold: each dense column's traced peak (the block
+    # scratch, a probe's survivors and those still pending from an earlier
+    # probe) stays within the counted tables plus four columns
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(3000, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), 300, axis=0)
+    sig, spec, dmax, ell = Signal(x), LaplaceKernel(1.0), 100, 10
+    dense, peaks, shares = _dp_core.Snip._dense, [], []
+
+    def traced(self, L, back, cbuf, e, ell, d_hi):
+        waiting = self.pending
+        tracemalloc.reset_peak()
+        dense(self, L, back, cbuf, e, ell, d_hi)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        if waiting is None and self.pending is not None:
+            shares.append(self.pending[0][0].size / ((d_hi - 2) * (e - 2 * ell + 1)))
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(_dp_core.Snip, "_dense", traced):
+            kernseg_exact(sig, spec, dmax, ell)
+    finally:
+        tracemalloc.stop()
+    assert max(shares) > 0.9 / _dp_core._ENTER
+    assert max(peaks) <= kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+
+
 def test_back_pointer_dtype_fits_n():
     # back-pointers hold starts 0..n: 16 bits up to n = 65535, 32 above
     for n, dtype in ((65535, np.uint16), (65536, np.int32)):
