@@ -64,23 +64,30 @@ def column_step(L, back, state, e, ell, dmax, snip):
 # are bitwise those of the unpruned minimisation.
 #
 # Row 1 (D = 2) never prunes: C(0, s) + C(s, e) <= C(0, e) = L[0, e]. It is
-# scanned as one contiguous slice. Rows 2.. may keep flat, row-ordered lists
-# of surviving starts with L[r-1, s] cached beside them; every start not in
-# the lists (from the "tail" on) is scanned as one block. With no lists the
-# tail is ell, so the block covers every start: that is the dense mode.
-# In dense mode the block is formed in chunks of whole rows inside one
-# scratch buffer of at most scratch_floats(n, dmax) floats, rows in order,
-# so each row's sums and first minimum are those of a scan of the whole
-# block; with lists the block is at most _PERIOD + 2 ell columns wide.
+# scanned as one contiguous slice. Rows 2.. are scanned in one of two modes.
+# - Lists, for a PSD kernel from its first column: flat, row-ordered lists
+#   of the live starts below the "tail", with L[r-1, s] cached beside them,
+#   and every start from the tail on scanned as one block. The lists start
+#   empty with the tail at ell, so at first every start is live. Each
+#   period the lists drop their pruned starts and take in the block's, in
+#   place. The block is added in chunks of rows of at most n + 1 entries;
+#   the lists are scanned and moved in chunks of rows of at most n + 1
+#   entries plus as many as their unused cap has room for, so list mode
+#   holds little beyond the lists' count.
+# - Dense, for other kernels and for the rest of a PSD sweep once a
+#   compaction would keep more than the lists' cap: every start, in chunks
+#   of whole rows inside one scratch buffer of at most scratch_floats(n,
+#   dmax) floats, one row add at a time (numpy buffers a 2-D add of short
+#   rows outside the scratch).
+# Rows are scanned in order and a row's lists precede its tail, so each
+# first minimum is that of one scan over all the row's starts.
 
-# Every period of _PERIOD + ell - 1 columns the lists are compacted (dense
-# mode probes instead); prunes decided in the first _PERIOD columns of a
-# period take effect by its end, so only those columns test for them.
+# Every period of _PERIOD + ell - 1 columns the lists are compacted; prunes
+# decided in the first _PERIOD columns of a period take effect by its end,
+# so only those columns test for them.
 _PERIOD = 16
-# a dense-mode probe builds lists when at most 1/_ENTER of the cells of
-# rows 2.. survive; a compaction drops the lists when more than 1/_LEAVE
-# would be kept (the lists' cap, counted in the tables)
-_ENTER = 8
+# the lists' cap, counted in the tables, is 1/_LEAVE of the cells of rows
+# 2..; a compaction that would keep more ends list mode
 _LEAVE = 4
 # prune only when L[r-1, s] + C(s, e) exceeds L[r-1, e] by this relative
 # margin plus a roundoff allowance for the costs (see Snip.__init__)
@@ -88,60 +95,49 @@ _REL_MARGIN = 2e-9
 
 
 def scratch_floats(n: int, dmax: int) -> int:
-    """Floats of the block scratch: whole rows of n + 1, as many as fit
-    beside a probe's survivors (12 bytes for each of up to 1/_ENTER of the
-    block's cells) within the candidate lists' cap (13 bytes for each of up
-    to 1/_LEAVE of them); at least one and at most the dmax - 2 rows of the
-    block. Below 65536 points that is within the room the 16-bit
+    """Floats of the dense scan's scratch: whole rows of n + 1, as many as
+    fit in the candidate lists' cap (13 bytes for each of up to 1/_LEAVE of
+    the cells of rows 2..), at least one and at most the dmax - 2 rows of
+    the block. Below 65536 points that is within the room the 16-bit
     back-pointers free."""
-    cells = max(dmax - 2, 0) * (n + 1)
-    rows = (13 * (cells // _LEAVE) - 12 * (cells // _ENTER)) // (8 * (n + 1))
+    rows = 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE) // (8 * (n + 1))
     return min(max(dmax - 2, 0), max(1, rows)) * (n + 1)
 
 
 class Snip:
     """Minimiser state for one exact sweep.
 
-    Starts with no lists (dense: every start scanned), builds lists when a
-    probe finds few survivors and drops them when they grow past their
-    cap; with ``prune`` False (kernels not known to be PSD) it never builds
-    any. ``scanned`` counts the (row, s) candidates evaluated.
+    With ``prune`` (kernels known to be PSD) the sweep starts in list mode
+    and stays there until a compaction would keep more than the lists' cap,
+    then scans densely to its end; without it every column is dense.
+    ``scanned`` counts the (row, s) candidates evaluated.
     """
 
     def __init__(self, n: int, dmax: int, diag_sum: float, prune: bool):
-        self.prune = prune
+        self.lists = prune
         self.scanned = 0
         self.scratch = scratch_floats(n, dmax)
+        self.cap = max(dmax - 2, 0) * (n + 1) // _LEAVE
         # Costs come from suffix sums of A and diag; for a PSD kernel every
         # partial sum is bounded by (length) * sum(diag), so the rounding
         # error of any computed cost is below about 2 u n sum(diag). The
         # allowance covers the three costs in the pruning argument.
         self.tau = 8.0 * 2.0**-53 * (n + 4) * diag_sum
-        self.pending = None  # (lists, column after which they take over)
-        self._drop_lists()
+        # the lists of rows 2..: starts, cached losses and pruned flags, and
+        # for each chunk (first row, end row, first entry, end entry, its
+        # rows' offsets in it, its rows' entry counts)
+        self.cs, self.lc, self.gone = np.empty(0, np.int32), np.empty(0), np.empty(0, bool)
+        self.chunks = []
+        self.tail = 0  # first start not in the lists (scanned from ell on)
 
     @staticmethod
     def table_bytes(n: int, dmax: int, prune: bool) -> int:
-        """Bytes of the minimiser's tables: the block scratch and, when it
-        prunes, the candidate lists at their cap, the most entries they
-        hold between compactions (an int32 start, a float64 cached loss and
-        a pruned flag per entry). The scratch fills only in dense mode,
-        where the lists are empty but for a probe's survivors (at most
-        1/_ENTER of the block's cells, 12 bytes each), so the lists' cap
-        and the scratch with those survivors share one allowance."""
-        if not prune:
-            return 8 * scratch_floats(n, dmax)
-        cells = max(dmax - 2, 0) * (n + 1)
-        return max(13 * (cells // _LEAVE), 8 * scratch_floats(n, dmax) + 12 * (cells // _ENTER))
-
-    def _drop_lists(self):
-        self.cs = self.lc = self.gone = self.counts = self.starts = None
-        self.m = 0  # rows held in the lists: rows 2..m+1
-        self.tail = 0  # first start not in the lists (scanned from ell on)
-
-    def _cut(self, thr):
-        # pruning thresholds of the rows after those whose losses are thr
-        return thr + (_REL_MARGIN * np.abs(thr) + self.tau)
+        """Bytes of the minimiser's tables: the dense scan's scratch and,
+        when it prunes, the candidate lists at their cap (an int32 start, a
+        float64 cached loss and a pruned flag per entry). The lists are gone
+        before the scratch is first made, so the larger of the two counts."""
+        scratch = 8 * scratch_floats(n, dmax)
+        return max(scratch, 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
 
     def minimize(self, L, back, cbuf, e, ell, d_hi):
         """Table update at column e for D = 2..d_hi (requires d_hi >= 2)."""
@@ -152,118 +148,121 @@ class Snip:
         i1 = int(v1.argmin())
         L[1, e] = v1[i1]
         back[1, e] = i1 + lo
-        m = self.m
-        if not m:
-            self._dense(L, back, cbuf, e, ell, d_hi)
+        del v1
+        self.scanned += hi - lo
+        if d_hi == 2:
             return
-        # the block from the tail on is at most _PERIOD + 2 ell columns wide
-        t0 = max(self.tail, lo)
-        tv = L[1 : d_hi - 1, t0:hi] + cbuf[t0:hi]
-        best_s = tv.argmin(axis=1)
-        best = tv.ravel().take(best_s + np.arange(0, tv.size, tv.shape[1]))
-        best_s += t0
-        v = cbuf.take(self.cs)
-        v += self.lc
-        self.scanned += (hi - lo) + tv.size + v.size
-        mins = np.minimum.reduceat(v, self.starts)
-        hit = (v == mins.repeat(self.counts)).nonzero()[0]
-        first = hit[hit.searchsorted(self.starts)]
-        # list starts precede the tail, so they win ties
-        win = mins <= best[:m]
-        first = first[win]
-        best[:m][win] = v[first]
-        best_s[:m][win] = self.cs[first]
-        L[2:d_hi, e] = best
-        back[2:d_hi, e] = best_s
-        # a start dominated at e may still win until e + ell - 1; the
-        # compaction at the end of this period drops it
-        period = _PERIOD + ell - 1
-        if (-e) % period >= ell - 1:
-            self.gone |= v > self._cut(L[1 : m + 1, e]).repeat(self.counts)
-        if e % period == 0:
-            del v  # before the compaction copies the lists
-            self._compact(L, lo, hi, d_hi - 2)
-
-    def _dense(self, L, back, cbuf, e, ell, d_hi):
-        # rows 2.. over every start, in chunks of whole rows in the scratch,
-        # one row add at a time (numpy buffers a 2-D add of short rows
-        # outside the scratch); a probe reads them chunk by chunk
-        lo, hi = ell, e - ell + 1
-        nr, w = d_hi - 2, hi - lo
-        self.scanned += w + nr * w
-        probe = self.pending is None and self.prune and e % (_PERIOD + ell - 1) == 0
-        found, room = ([], nr * w // _ENTER) if probe else (None, 0)
-        # row 1's loss, then each row's minimum and its start as the chunks
+        # row 1's loss, then those of rows 2.. and their starts as they
         # finish; L and back get them in one strided write at the end
-        best = np.empty(nr + 1)
+        best = np.empty(d_hi - 1)
         best[0] = L[1, e]
-        best_s = np.empty(nr, dtype=np.intp)
-        if nr:
-            c = cbuf[lo:hi]
-            buf = np.empty(min(nr * w, self.scratch))
-            rows = buf.size // w
-            for a in range(0, nr, rows):
-                b = min(a + rows, nr)
-                v = buf[: (b - a) * w].reshape(b - a, w)
-                for i in range(b - a):
-                    np.add(L[1 + a + i, lo:hi], c, out=v[i])
-                s = v.argmin(axis=1, out=best_s[a:b])
-                best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
-                if found is not None:
-                    room = self._survivors(L, v, best[a:b], a, lo, room, found)
-                    if room is None:
-                        found = None
-            del buf, v
-            best_s += lo
+        best_s = np.empty(d_hi - 2, dtype=np.intp)
+        t0 = max(self.tail, lo) if self.lists else lo
+        self._block(L, cbuf, t0, hi, best, best_s)
+        if self.lists:
+            # the lists precede the tail, so they win ties. A start dominated
+            # at e may still win until e + ell - 1, so it is only flagged, and
+            # the compaction ending the period drops it.
+            check = (-e) % (_PERIOD + ell - 1) >= ell - 1
+            for chunk in self.chunks:
+                self._scan_chunk(cbuf, check, best, best_s, *chunk)
         L[2:d_hi, e] = best[1:]
         back[2:d_hi, e] = best_s
-        if found:
-            # a dominated start may still win until e + ell - 1, so lists
-            # built from the survivors take over only after that column
-            counts = np.array([p[0].size for p in found])
-            cs, lc = (np.concatenate(p) for p in zip(*found))
-            del found
-            self.pending = ((cs, lc, counts, hi), e + ell - 1)
-        if self.pending is not None and e >= self.pending[1]:
-            self._set_lists(*self.pending[0])
-            self.pending = None
+        if self.lists and e % (_PERIOD + ell - 1) == 0:
+            self._compact(L, t0, hi, d_hi - 2)
 
-    def _survivors(self, L, v, prev, a, lo, room, found):
-        # rows 2+a.. of the dense block, whose previous rows' losses at this
-        # column are prev: appends each row's surviving starts and their
-        # cached losses to found, row by row, and returns the room left, or
-        # None when more than room of them survive; v becomes the mask
-        np.less_equal(v, self._cut(prev)[:, None], out=v)
-        v[:, -1] = 1.0  # no row starts empty
-        room -= np.count_nonzero(v)
-        if room < 0:
-            return None
-        for i in range(v.shape[0]):
-            s = v[i].nonzero()[0]
-            s += lo
-            found.append((s.astype(np.int32), L[a + i + 1, s]))
-        return room
+    def _block(self, L, cbuf, t0, hi, best, best_s):
+        # rows 2.. over the starts t0..hi-1, in chunks of whole rows: dense,
+        # in the scratch and one row add at a time; in list mode, at most
+        # n + 1 entries a chunk and one 2-D add each, whose buffers numpy
+        # holds at up to twice the chunk
+        nr, w = best_s.size, hi - t0
+        self.scanned += nr * w
+        c = cbuf[t0:hi]
+        buf = None if self.lists else np.empty(min(nr * w, self.scratch))
+        rows = max(1, cbuf.size // w) if buf is None else buf.size // w
+        for a in range(0, nr, rows):
+            b = min(a + rows, nr)
+            if buf is None:
+                v = L[1 + a : 1 + b, t0:hi] + c
+            else:
+                v = buf[: (b - a) * w].reshape(b - a, w)
+                for i in range(b - a):
+                    np.add(L[1 + a + i, t0:hi], c, out=v[i])
+            s = v.argmin(axis=1, out=best_s[a:b])
+            best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
+        best_s += t0
 
-    def _set_lists(self, cs, lc, counts, tail):
-        self.cs, self.lc, self.counts = cs, lc, counts
-        self.gone = np.zeros(cs.size, dtype=bool)
-        self.starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        self.m = counts.size
-        self.tail = tail
+    def _scan_chunk(self, cbuf, check, best, best_s, a, b, i, j, st, cnt):
+        # rows 2+a..1+b, entries i..j-1; the temporaries, 17 bytes an entry
+        # at most (the values, a repeated row minimum or threshold and a
+        # mask, or the values and the first minima's candidates), go at return
+        cs = self.cs[i:j]
+        v = cbuf.take(cs)
+        v += self.lc[i:j]
+        self.scanned += v.size
+        mins = np.minimum.reduceat(v, st)
+        hit = (v == mins.repeat(cnt)).nonzero()[0]
+        first = hit[hit.searchsorted(st)]
+        del hit
+        win = mins <= best[1 + a : 1 + b]
+        first = first[win]
+        best[1 + a : 1 + b][win] = v[first]
+        best_s[a:b][win] = cs[first]
+        if check:
+            # against the previous rows' losses at e, now final
+            thr = best[a:b]
+            self.gone[i:j] |= v > (thr + (_REL_MARGIN * np.abs(thr) + self.tau)).repeat(cnt)
 
-    def _compact(self, L, lo, hi, nr):
-        # drop the pruned starts and append the tail to rows 2..nr+1
-        keep = np.logical_not(self.gone, out=self.gone)
-        kept = np.add.reduceat(keep, self.starts, dtype=np.int64)
-        kt = hi - self.tail
-        if (int(kept.sum()) + nr * kt) * _LEAVE > nr * (hi - lo):
-            self._drop_lists()
-            return
+    def _compact(self, L, t0, hi, nr):
+        # drop the pruned starts and append t0..hi-1 to rows 2..nr+1, in
+        # place: the kept entries move to the front chunk by chunk, then the
+        # new chunks, from the last, move right with their new starts
+        kt = hi - t0
         counts = np.zeros(nr, dtype=np.int64)
-        counts[: self.m] = kept
-        at = np.repeat(np.cumsum(counts), kt)
-        new = np.arange(self.tail, hi, dtype=np.int32)
-        # one list at a time, so each old one goes as its new one is made
-        self.cs = np.insert(self.cs[keep], at, np.tile(new, nr))
-        self.lc = np.insert(self.lc[keep], at, L[1 : nr + 1, self.tail : hi].ravel())
-        self._set_lists(self.cs, self.lc, counts + kt, hi)
+        k = 0
+        for a, b, i, j, st, cnt in self.chunks:
+            keep = ~self.gone[i:j]
+            counts[a:b] = np.add.reduceat(keep, st)
+            kept = self.cs[i:j][keep]
+            self.cs[k : k + kept.size] = kept
+            kept = self.lc[i:j][keep]
+            self.lc[k : k + kept.size] = kept
+            k += kept.size
+            del keep, kept  # not held through the moves below
+        self.gone = None
+        self.chunks = []
+        total = k + nr * kt
+        if total > self.cap:
+            self.lists = False
+            self.cs = self.lc = None
+            return
+        self.cs.resize(total)
+        self.lc.resize(total)
+        self.gone = np.zeros(total, dtype=bool)
+        counts += kt
+        offs = np.concatenate(([0], np.cumsum(counts)))
+        new = np.arange(t0, hi, dtype=np.int32)
+        # chunks of at most n + 1 entries and as many more as the lists'
+        # unused cap holds at the 17 bytes an entry of a scan's temporaries
+        size = L.shape[1] + 13 * (self.cap - total) // 17
+        b, held = nr, 0
+        for a in range(nr - 1, -1, -1):
+            held += int(counts[a])
+            if a and held + counts[a - 1] <= size:
+                continue
+            i, j = offs[a], offs[b]
+            src = slice(i - a * kt, j - b * kt)
+            runs = np.full(2 * (b - a), kt)
+            runs[::2] = counts[a:b] - kt
+            # each row's kept entries, then its new ones
+            mask = np.repeat(np.tile([True, False], b - a), runs)
+            cs, lc = self.cs[i:j], self.lc[i:j]
+            cs[mask] = self.cs[src].copy()
+            lc[mask] = self.lc[src].copy()
+            np.logical_not(mask, out=mask)
+            cs[mask] = np.tile(new, b - a)
+            lc[mask] = L[1 + a : 1 + b, t0:hi].ravel()
+            self.chunks.insert(0, (a, b, i, j, offs[a:b] - i, counts[a:b]))
+            b, held = a, 0
+        self.tail = hi

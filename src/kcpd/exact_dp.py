@@ -334,8 +334,8 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     """Bytes :func:`kernseg_exact` allocates for its persistent tables.
 
     L and back, the column state A, comp and diag, the scratch column, and
-    the minimiser's block scratch, which for a PSD kernel shares its room
-    with the pruning lists at their cap."""
+    the minimiser's dense scratch or, for a PSD kernel, the larger of that
+    scratch and the pruning lists at their cap, as a sweep never holds both."""
     back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser

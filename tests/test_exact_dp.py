@@ -391,53 +391,88 @@ def _sweep_case(case):
         rng = np.random.default_rng(7)
         x = np.repeat(rng.uniform(-2, 2, 8), 500) + 0.3 * rng.normal(size=4000)
         return Signal(x), ExponentialKernel(4.0), 100, 1
-    # mostly dense, with probes and short-lived lists (as in PINNED_CELLS)
+    if case == "lists-compact":
+        # list mode throughout, its lists compacted every 45 columns
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3000, 2)) + np.repeat(rng.uniform(-3, 3, (6, 2)), 500, axis=0)
+        return Signal(x), LaplaceKernel(1.0), 40, 30
+    if case == "lists-fallback":
+        # rounded noise whose costs sit below the pruning margin prunes
+        # nothing: the lists reach their cap and the sweep ends dense
+        rng = np.random.default_rng(5)
+        return Signal(np.round(rng.normal(size=3000)) * 1e-7), GaussianKernel(1.0), 100, 10
+    # lists for most of the sweep, then dense (as in PINNED_CELLS)
     rng = np.random.default_rng(3000)
     x = rng.normal(size=(3000, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), 300, axis=0)
     return Signal(x), LaplaceKernel(1.0), 12, 30
 
 
-@pytest.mark.parametrize("case", ["pruned-mean", "dense-exponential", "laplace-2d"])
-def test_sweep_peak_within_counted_tables(case):
-    # the traced peak of a whole sweep: its counted tables plus at most four
-    # columns of temporaries (row 1's candidates, the cost column's lengths
-    # and suffix sums, a kernel column's work)
+def _traced_sweep(case, column=None):
+    """Run a _sweep_case under tracemalloc; returns (its peak, its Snip).
+
+    ``column(snip, run)`` stands in for each Snip.minimize call when given,
+    with ``run()`` making the call."""
     sig, spec, dmax, ell = _sweep_case(case)
+    snips, minimize = [], _dp_core.Snip.minimize
+
+    class Traced(_dp_core.Snip):
+        def __init__(self, *args):
+            super().__init__(*args)
+            snips.append(self)
+
+        def minimize(self, *args):
+            run = lambda: minimize(self, *args)  # noqa: E731
+            return run() if column is None else column(self, run)
+
     tracemalloc.start()
     try:
-        kernseg_exact(sig, spec, dmax, ell)
+        with mock.patch.object(_dp_core, "Snip", Traced):
+            kernseg_exact(sig, spec, dmax, ell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+    return peak, snips[0]
 
 
-def test_dense_columns_peak_within_counted_tables():
-    # Dmax = 100 with a probe that keeps about 12% of its block, near the
-    # 1/_ENTER entry threshold: each dense column's traced peak (the block
-    # scratch, a probe's survivors and those still pending from an earlier
-    # probe) stays within the counted tables plus four columns
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(3000, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), 300, axis=0)
-    sig, spec, dmax, ell = Signal(x), LaplaceKernel(1.0), 100, 10
-    dense, peaks, shares = _dp_core.Snip._dense, [], []
+def _allowance(case):
+    # the counted tables plus four columns of temporaries (row 1's
+    # candidates, the cost column's lengths and suffix sums, a kernel
+    # column's work, or list mode's block and chunk temporaries)
+    sig, spec, dmax, _ = _sweep_case(case)
+    return kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
 
-    def traced(self, L, back, cbuf, e, ell, d_hi):
-        waiting = self.pending
+
+@pytest.mark.parametrize(
+    "case", ["pruned-mean", "dense-exponential", "laplace-2d", "lists-compact", "lists-fallback"])
+def test_sweep_peak_within_counted_tables(case):
+    # the traced peak of a whole sweep
+    peak, snip = _traced_sweep(case)
+    assert peak <= _allowance(case)
+    assert snip.lists == (case in ("pruned-mean", "lists-compact"))
+
+
+@pytest.mark.parametrize("case", ["lists-compact", "lists-fallback"])
+def test_list_columns_peak_within_counted_tables(case):
+    # each list-mode column's traced peak, compactions included; the
+    # record is three numbers updated in place, so it adds nothing that
+    # grows with the sweep
+    worst = {"peak": 0, "compactions": 0, "share": 0.0}
+
+    def column(snip, run):
+        if not snip.lists:
+            return run()
+        tail, share = snip.tail, snip.cs.size / snip.cap
         tracemalloc.reset_peak()
-        dense(self, L, back, cbuf, e, ell, d_hi)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        if waiting is None and self.pending is not None:
-            shares.append(self.pending[0][0].size / ((d_hi - 2) * (e - 2 * ell + 1)))
+        run()
+        worst["peak"] = max(worst["peak"], tracemalloc.get_traced_memory()[1])
+        worst["compactions"] += not snip.lists or snip.tail != tail
+        worst["share"] = max(worst["share"], share)
 
-    tracemalloc.start()
-    try:
-        with mock.patch.object(_dp_core.Snip, "_dense", traced):
-            kernseg_exact(sig, spec, dmax, ell)
-    finally:
-        tracemalloc.stop()
-    assert max(shares) > 0.9 / _dp_core._ENTER
-    assert max(peaks) <= kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+    _traced_sweep(case, column)
+    assert worst["compactions"] > 10
+    # the second case holds its lists near their cap, in chunks of n + 1
+    assert worst["share"] > (0.9 if case == "lists-fallback" else 0.05)
+    assert worst["peak"] <= _allowance(case)
 
 
 def test_back_pointer_dtype_fits_n():
@@ -493,13 +528,13 @@ def _assert_same_tables(a, b):
     assert a._back is None and b._back is None or np.array_equal(a._back, b._back)
 
 
-# Forced switches between the dense slab and the candidate lists: probe and
-# compact every few columns and switch to the lists at any survivor count;
-# "eager" then never falls back, "thrash" falls back at every compaction.
+# Forced switches from the candidate lists to the dense scan: compact every
+# few columns with a cap of every cell ("eager", which never falls back) or
+# of none ("thrash", which falls back at its first compaction).
 SWITCHES = {
-    "builtin": {"_PERIOD": _dp_core._PERIOD, "_ENTER": _dp_core._ENTER, "_LEAVE": _dp_core._LEAVE},
-    "eager": {"_PERIOD": 3, "_ENTER": 1, "_LEAVE": 1},
-    "thrash": {"_PERIOD": 3, "_ENTER": 1, "_LEAVE": 10**9},
+    "builtin": {"_PERIOD": _dp_core._PERIOD, "_LEAVE": _dp_core._LEAVE},
+    "eager": {"_PERIOD": 3, "_LEAVE": 1},
+    "thrash": {"_PERIOD": 3, "_LEAVE": 10**9},
 }
 
 
@@ -530,9 +565,9 @@ def test_pruned_tables_equal_dense_bitwise(
 ):
     """Pruned and dense sweeps give the same L and back, bit for bit.
 
-    At n <= 60 the built-in switch rarely leaves the dense slab, so the
-    sweep also runs with forced switches (SWITCHES). Rounded data makes
-    exact ties, which the smallest start must win.
+    At n <= 60 the built-in period rarely compacts the lists, so the sweep
+    also runs with forced switches (SWITCHES). Rounded data makes exact
+    ties, which the smallest start must win.
     """
     if n < ell:
         return
@@ -553,8 +588,8 @@ def test_pruned_tables_equal_dense_bitwise(
 
 @pytest.mark.parametrize("switch", ["eager", "thrash"])
 def test_forced_switches_keep_tables_bitwise(switch):
-    # longer floors than the property test: a start pruned at a probe or a
-    # check may still win for ell - 1 columns
+    # longer floors than the property test: a start flagged at a check may
+    # still win for ell - 1 columns
     rng = np.random.default_rng(31)
     families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
     for trial in range(100):
@@ -583,9 +618,8 @@ def _whole_block(n, dmax):
 
 @pytest.mark.parametrize("switch", ["builtin", "eager", "thrash"])
 def test_chunked_block_keeps_tables_bitwise(switch):
-    # a one-row block scratch: late columns scan rows 2.. one or two rows at
-    # a time and probe them chunk by chunk; the reference scans each column's
-    # block at once
+    # a one-row dense scratch: dense columns scan rows 2.. one row at a
+    # time; the reference scans each column's block at once
     rng = np.random.default_rng(47)
     families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
     for trial in range(40):
@@ -610,13 +644,13 @@ def test_chunked_block_keeps_tables_bitwise(switch):
 
 
 # candidates scanned over the sweep: dp_cells_scanned is part of the CLI's JSON
-PINNED_CELLS = {1: 10433960, 5: 10711407, "2d-variance": 47241738}
+PINNED_CELLS = {1: 10023847, 5: 10549113, "2d-variance": 25351322}
 
 
 @pytest.mark.parametrize("case", [1, 5, "2d-variance"])
 def test_pruning_engages_on_mean_shifts(case):
     if case == "2d-variance":
-        # mostly dense: it probes, builds short-lived lists and falls back to the full scan
+        # lists for most of the sweep, then dense once they would pass their cap
         n, dmax, ell, share = 3000, 12, 30, 1.0
         rng = np.random.default_rng(3000)
         x = rng.normal(size=(n, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), n // 10, axis=0)

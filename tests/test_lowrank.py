@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcpd import (
     ExponentialKernel,
@@ -348,16 +350,31 @@ def test_binseg_exhaustion_flag():
     assert not res3.exhausted or res3.segmentations[-1].d <= 4
 
 
-def test_binseg_loss_lower_bounded_by_exact(rng):
-    for _ in range(5):
-        n = int(rng.integers(30, 120))
-        x = random_signal(rng, n)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(12, 120),
+    q=st.sampled_from([1, 2]),
+    ell=st.integers(1, 3),
+    dmax=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_binseg_loss_lower_bounded_by_exact(n, q, ell, dmax, seed):
+    # each greedy D-segmentation is one the exact sweep on the embedded
+    # signal weighs, so its loss is never below the optimum (criterion 5's
+    # tolerance); the linear kernel is PSD, so that sweep runs in list mode
+    dmax = min(dmax, n // ell)
+    x = random_signal(np.random.default_rng(seed), n, q)
+    if q == 1:
         emb = nystrom_embed(Signal(x), GaussianKernel(1.0), p=12, rule="grid")
-        res = binary_segmentation(emb, dmax=6)
-        exact = kernseg_exact(Signal(emb.Z.T), LinearKernel(), dmax=6)
-        for d in range(1, 7):
+    else:
+        spec = SumKernel.per_coordinate([GaussianKernel(1.0), LaplaceKernel(2.0)])
+        emb = nystrom_embed(Signal(x), spec, p=12, rule="stride")
+    res = binary_segmentation(emb, dmax, ell)
+    exact = kernseg_exact(Signal(emb.Z.T), LinearKernel(), dmax, ell)
+    for d, seg in enumerate(res.segmentations, start=1):
+        if seg.d == d:  # once exhausted, binseg repeats its last one
             lb = exact.loss(d)
-            assert res.losses[d - 1] >= lb - 1e-8 * max(1.0, abs(lb))
+            assert res.losses[d - 1] >= lb - 1e-8 * max(1.0, abs(lb)), d
 
 
 def test_binseg_gains_nonnegative_and_losses_decreasing(rng):
