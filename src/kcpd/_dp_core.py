@@ -180,7 +180,7 @@ class Snip:
         self.scanned += nr * w
         c = cbuf[t0:hi]
         buf = None if self.lists else np.empty(min(nr * w, self.scratch))
-        rows = max(1, cbuf.size // w) if buf is None else buf.size // w
+        rows = max(1, L.shape[1] // w) if buf is None else buf.size // w
         for a in range(0, nr, rows):
             b = min(a + rows, nr)
             if buf is None:
@@ -205,9 +205,10 @@ class Snip:
         hit = (v == mins.repeat(cnt)).nonzero()[0]
         first = hit[hit.searchsorted(st)]
         del hit
-        win = mins <= best[1 + a : 1 + b]
+        rows = best[1 + a : 1 + b]
+        win = mins <= rows
         first = first[win]
-        best[1 + a : 1 + b][win] = v[first]
+        rows[win] = v[first]
         best_s[a:b][win] = cs[first]
         if check:
             # against the previous rows' losses at e, now final
@@ -230,12 +231,10 @@ class Snip:
             self.lc[k : k + kept.size] = kept
             k += kept.size
             del keep, kept  # not held through the moves below
-        self.gone = None
-        self.chunks = []
+        self.gone, self.chunks = None, []
         total = k + nr * kt
         if total > self.cap:
-            self.lists = False
-            self.cs = self.lc = None
+            self.lists, self.cs, self.lc = False, None, None
             return
         self.cs.resize(total)
         self.lc.resize(total)
@@ -246,10 +245,10 @@ class Snip:
         # chunks of at most n + 1 entries and as many more as the lists'
         # unused cap holds at the 17 bytes an entry of a scan's temporaries
         size = L.shape[1] + 13 * (self.cap - total) // 17
-        b, held = nr, 0
+        b, held, cl = nr, 0, counts.tolist()
         for a in range(nr - 1, -1, -1):
-            held += int(counts[a])
-            if a and held + counts[a - 1] <= size:
+            held += cl[a]
+            if a and held + cl[a - 1] <= size:
                 continue
             i, j = offs[a], offs[b]
             src = slice(i - a * kt, j - b * kt)
