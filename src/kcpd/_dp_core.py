@@ -194,9 +194,9 @@ class Snip:
         best_s += t0
 
     def _scan_chunk(self, cbuf, check, best, best_s, a, b, i, j, st, cnt):
-        # rows 2+a..1+b, entries i..j-1; the temporaries, 17 bytes an entry
-        # at most (the values, a repeated row minimum or threshold and a
-        # mask, or the values and the first minima's candidates), go at return
+        # rows 2+a..1+b, entries i..j-1; its temporaries, at most 17 bytes
+        # an entry (values, a repeated row minimum or threshold, a mask), go
+        # at return
         cs = self.cs[i:j]
         v = cbuf.take(cs)
         v += self.lc[i:j]
@@ -236,8 +236,9 @@ class Snip:
         if total > self.cap:
             self.lists, self.cs, self.lc = False, None, None
             return
-        self.cs.resize(total)
-        self.lc.resize(total)
+        # no views of them are alive here; numpy's check counts a profiler's
+        self.cs.resize(total, refcheck=False)
+        self.lc.resize(total, refcheck=False)
         self.gone = np.zeros(total, dtype=bool)
         counts += kt
         offs = np.concatenate(([0], np.cumsum(counts)))

@@ -1,5 +1,6 @@
 """Exact segmenter: cost oracles, the column recurrence, and the DP table."""
 
+import cProfile
 import math
 import tracemalloc
 from unittest import mock
@@ -473,6 +474,15 @@ def test_list_columns_peak_within_counted_tables(case):
     # the second case holds its lists near their cap, in chunks of n + 1
     assert worst["share"] > (0.9 if case == "lists-fallback" else 0.05)
     assert worst["peak"] <= _allowance(case)
+
+
+def test_sweep_runs_under_a_profiler():
+    # compactions resize the lists in place; a profiler's references to
+    # them must not stop a sweep, nor change its tables
+    rng = np.random.default_rng(3)
+    sig = Signal(rng.normal(size=300) + np.repeat(rng.uniform(-3, 3, 6), 50))
+    profiled = cProfile.Profile().runcall(kernseg_exact, sig, GaussianKernel(1.0), 10)
+    _assert_same_tables(profiled, kernseg_exact(sig, GaussianKernel(1.0), 10))
 
 
 def test_back_pointer_dtype_fits_n():
