@@ -69,11 +69,10 @@ def column_step(L, back, state, e, ell, dmax, snip):
 #   of the live starts below the "tail", with L[r-1, s] cached beside them,
 #   and every start from the tail on scanned as one block. The lists start
 #   empty with the tail at ell, so at first every start is live. Each
-#   period the lists drop their pruned starts and take in the block's, in
-#   place. The block is added in chunks of rows of at most n + 1 entries;
-#   the lists are scanned and moved in chunks of rows of at most n + 1
-#   entries plus as many as their unused cap has room for, so list mode
-#   holds little beyond the lists' count.
+#   period the lists drop their pruned starts and take in the block's. A
+#   column scans the lists whole and a compaction copies them, each with at
+#   most 17 bytes an entry of temporaries beside the lists' 13. The block
+#   is added in chunks of rows of at most n + 1 entries.
 # - Dense, for other kernels and for the rest of a PSD sweep once a
 #   compaction would keep more than the lists' cap: every start, in chunks
 #   of whole rows inside one scratch buffer of at most scratch_floats(n,
@@ -88,7 +87,7 @@ def column_step(L, back, state, e, ell, dmax, snip):
 _PERIOD = 16
 # the lists' cap, counted in the tables, is 1/_LEAVE of the cells of rows
 # 2..; a compaction that would keep more ends list mode
-_LEAVE = 4
+_LEAVE = 10
 # prune only when L[r-1, s] + C(s, e) exceeds L[r-1, e] by this relative
 # margin plus a roundoff allowance for the costs (see Snip.__init__)
 _REL_MARGIN = 2e-9
@@ -96,11 +95,11 @@ _REL_MARGIN = 2e-9
 
 def scratch_floats(n: int, dmax: int) -> int:
     """Floats of the dense scan's scratch: whole rows of n + 1, as many as
-    fit in the candidate lists' cap (13 bytes for each of up to 1/_LEAVE of
-    the cells of rows 2..), at least one and at most the dmax - 2 rows of
-    the block. Below 65536 points that is within the room the 16-bit
+    fit in the candidate lists' count (30 bytes for each of up to 1/_LEAVE
+    of the cells of rows 2..), at least one and at most the dmax - 2 rows
+    of the block. Below 65536 points that is within the room the 16-bit
     back-pointers free."""
-    rows = 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE) // (8 * (n + 1))
+    rows = 30 * (max(dmax - 2, 0) * (n + 1) // _LEAVE) // (8 * (n + 1))
     return min(max(dmax - 2, 0), max(1, rows)) * (n + 1)
 
 
@@ -124,20 +123,20 @@ class Snip:
         # allowance covers the three costs in the pruning argument.
         self.tau = 8.0 * 2.0**-53 * (n + 4) * diag_sum
         # the lists of rows 2..: starts, cached losses and pruned flags, and
-        # for each chunk (first row, end row, first entry, end entry, its
-        # rows' offsets in it, its rows' entry counts)
+        # each row's offset in them and entry count
         self.cs, self.lc, self.gone = np.empty(0, np.int32), np.empty(0), np.empty(0, bool)
-        self.chunks = []
+        self.st, self.cnt = np.empty(0, np.intp), np.empty(0, np.intp)
         self.tail = 0  # first start not in the lists (scanned from ell on)
 
     @staticmethod
     def table_bytes(n: int, dmax: int, prune: bool) -> int:
         """Bytes of the minimiser's tables: the dense scan's scratch and,
-        when it prunes, the candidate lists at their cap (an int32 start, a
-        float64 cached loss and a pruned flag per entry). The lists are gone
+        when it prunes, the candidate lists at their cap, 30 bytes an entry
+        (an int32 start, a float64 cached loss and a pruned flag, and the
+        17 bytes a scan or compaction holds beside each). The lists are gone
         before the scratch is first made, so the larger of the two counts."""
         scratch = 8 * scratch_floats(n, dmax)
-        return max(scratch, 13 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
+        return max(scratch, 30 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
 
     def minimize(self, L, back, cbuf, e, ell, d_hi):
         """Table update at column e for D = 2..d_hi (requires d_hi >= 2)."""
@@ -163,9 +162,7 @@ class Snip:
             # the lists precede the tail, so they win ties. A start dominated
             # at e may still win until e + ell - 1, so it is only flagged, and
             # the compaction ending the period drops it.
-            check = (-e) % (_PERIOD + ell - 1) >= ell - 1
-            for chunk in self.chunks:
-                self._scan_chunk(cbuf, check, best, best_s, *chunk)
+            self._scan(cbuf, (-e) % (_PERIOD + ell - 1) >= ell - 1, best, best_s)
         L[2:d_hi, e] = best[1:]
         back[2:d_hi, e] = best_s
         if self.lists and e % (_PERIOD + ell - 1) == 0:
@@ -193,76 +190,44 @@ class Snip:
             best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
         best_s += t0
 
-    def _scan_chunk(self, cbuf, check, best, best_s, a, b, i, j, st, cnt):
-        # rows 2+a..1+b, entries i..j-1; its temporaries, at most 17 bytes
-        # an entry (values, a repeated row minimum or threshold, a mask), go
-        # at return
-        cs = self.cs[i:j]
+    def _scan(self, cbuf, check, best, best_s):
+        # every list row in one pass; its temporaries (values, a repeated
+        # row minimum or threshold, a mask) go at return
+        cs, st, cnt = self.cs, self.st, self.cnt
+        nr = st.size
         v = cbuf.take(cs)
-        v += self.lc[i:j]
+        v += self.lc
         self.scanned += v.size
         mins = np.minimum.reduceat(v, st)
         hit = (v == mins.repeat(cnt)).nonzero()[0]
         first = hit[hit.searchsorted(st)]
         del hit
-        rows = best[1 + a : 1 + b]
+        rows = best[1 : 1 + nr]
         win = mins <= rows
         first = first[win]
         rows[win] = v[first]
-        best_s[a:b][win] = cs[first]
+        best_s[:nr][win] = cs[first]
         if check:
             # against the previous rows' losses at e, now final
-            thr = best[a:b]
-            self.gone[i:j] |= v > (thr + (_REL_MARGIN * np.abs(thr) + self.tau)).repeat(cnt)
+            thr = best[:nr]
+            self.gone |= v > (thr + (_REL_MARGIN * np.abs(thr) + self.tau)).repeat(cnt)
 
     def _compact(self, L, t0, hi, nr):
-        # drop the pruned starts and append t0..hi-1 to rows 2..nr+1, in
-        # place: the kept entries move to the front chunk by chunk, then the
-        # new chunks, from the last, move right with their new starts
-        kt = hi - t0
-        counts = np.zeros(nr, dtype=np.int64)
-        k = 0
-        for a, b, i, j, st, cnt in self.chunks:
-            keep = ~self.gone[i:j]
-            counts[a:b] = np.add.reduceat(keep, st)
-            kept = self.cs[i:j][keep]
-            self.cs[k : k + kept.size] = kept
-            kept = self.lc[i:j][keep]
-            self.lc[k : k + kept.size] = kept
-            k += kept.size
-            del keep, kept  # not held through the moves below
-        self.gone, self.chunks = None, []
-        total = k + nr * kt
-        if total > self.cap:
+        # drop the pruned starts, then insert t0..hi-1 at the end of each of
+        # rows 2..nr+1; each old list goes as its copy is made
+        kt, keep = hi - t0, ~self.gone
+        counts = np.zeros(nr, dtype=np.intp)
+        counts[: self.st.size] = np.add.reduceat(keep, self.st)
+        self.gone = None
+        if counts.sum() + nr * kt > self.cap:
             self.lists, self.cs, self.lc = False, None, None
             return
-        # no views of them are alive here; numpy's check counts a profiler's
-        self.cs.resize(total, refcheck=False)
-        self.lc.resize(total, refcheck=False)
-        self.gone = np.zeros(total, dtype=bool)
-        counts += kt
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        new = np.arange(t0, hi, dtype=np.int32)
-        # chunks of at most n + 1 entries and as many more as the lists'
-        # unused cap holds at the 17 bytes an entry of a scan's temporaries
-        size = L.shape[1] + 13 * (self.cap - total) // 17
-        b, held, cl = nr, 0, counts.tolist()
-        for a in range(nr - 1, -1, -1):
-            held += cl[a]
-            if a and held + cl[a - 1] <= size:
-                continue
-            i, j = offs[a], offs[b]
-            src = slice(i - a * kt, j - b * kt)
-            runs = np.full(2 * (b - a), kt)
-            runs[::2] = counts[a:b] - kt
-            # each row's kept entries, then its new ones
-            mask = np.repeat(np.tile([True, False], b - a), runs)
-            cs, lc = self.cs[i:j], self.lc[i:j]
-            cs[mask] = self.cs[src].copy()
-            lc[mask] = self.lc[src].copy()
-            np.logical_not(mask, out=mask)
-            cs[mask] = np.tile(new, b - a)
-            lc[mask] = L[1 + a : 1 + b, t0:hi].ravel()
-            self.chunks.insert(0, (a, b, i, j, offs[a:b] - i, counts[a:b]))
-            b, held = a, 0
+        self.cs = self.cs[keep]
+        self.lc = self.lc[keep]
+        ends = np.repeat(np.cumsum(counts), kt)
+        self.cs = np.insert(self.cs, ends, np.tile(np.arange(t0, hi, dtype=np.int32), nr))
+        self.lc = np.insert(self.lc, ends, L[1 : 1 + nr, t0:hi].ravel())
+        self.gone = np.zeros(self.cs.size, dtype=bool)
+        self.cnt = counts + kt
+        self.st = np.cumsum(self.cnt) - self.cnt
         self.tail = hi

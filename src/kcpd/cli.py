@@ -525,6 +525,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_flags(
+        ("--landmarks", args.landmarks, args.landmarks >= 1, "at least 1"),
+        ("--seed", args.seed, args.seed >= 0, "a nonnegative integer"),
+        ("--memory-budget", args.memory_budget, args.memory_budget >= 0, "a nonnegative integer"),
+    )
     rows = run_bench(
         args.grid,
         args.algorithms,

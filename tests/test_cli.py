@@ -535,6 +535,29 @@ def test_simulate_flag_values(tmp_path, capsys, flags, code, message):
     assert not out.exists()
 
 
+# (flags, error message); each is refused before the warm-up runs
+_BENCH_FLAG_CASES = [
+    ("--landmarks 0", "--landmarks must be at least 1, got 0"),
+    ("--seed -1", "--seed must be a nonnegative integer, got -1"),
+    ("--memory-budget -5", "--memory-budget must be a nonnegative integer, got -5"),
+]
+
+
+@pytest.mark.parametrize("flags,message", _BENCH_FLAG_CASES,
+                         ids=[case[0] for case in _BENCH_FLAG_CASES])
+def test_bench_flag_values(tmp_path, capsys, monkeypatch, flags, message):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run went on past a malformed flag")
+
+    monkeypatch.setattr("kcpd.cli._solve", unreached)
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--grid", "100", "--algorithms", "exact", "--dmax", "3",
+               "--output", str(out), *flags.split()])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_refuses_one_file_for_signal_and_truth(tmp_path, capsys):
     out = tmp_path / "s.csv"
     link = tmp_path / "link.json"

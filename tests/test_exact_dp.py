@@ -393,16 +393,16 @@ def _sweep_case(case):
         x = np.repeat(rng.uniform(-2, 2, 8), 500) + 0.3 * rng.normal(size=4000)
         return Signal(x), ExponentialKernel(4.0), 100, 1
     if case == "lists-compact":
-        # list mode throughout, its lists compacted every 45 columns
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(3000, 2)) + np.repeat(rng.uniform(-3, 3, (6, 2)), 500, axis=0)
-        return Signal(x), LaplaceKernel(1.0), 40, 30
+        # list mode throughout, its lists compacted every 35 columns
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=3000) + np.repeat(rng.uniform(-4, 4, 6), 500)
+        return Signal(x), GaussianKernel(1.0), 60, 20
     if case == "lists-fallback":
         # rounded noise whose costs sit below the pruning margin prunes
         # nothing: the lists reach their cap and the sweep ends dense
         rng = np.random.default_rng(5)
         return Signal(np.round(rng.normal(size=3000)) * 1e-7), GaussianKernel(1.0), 100, 10
-    # lists for most of the sweep, then dense (as in PINNED_CELLS)
+    # lists up to column 900, then dense (as in PINNED_CELLS)
     rng = np.random.default_rng(3000)
     x = rng.normal(size=(3000, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), 300, axis=0)
     return Signal(x), LaplaceKernel(1.0), 12, 30
@@ -471,14 +471,41 @@ def test_list_columns_peak_within_counted_tables(case):
 
     _traced_sweep(case, column)
     assert worst["compactions"] > 10
-    # the second case holds its lists near their cap, in chunks of n + 1
+    # the second case holds its lists near their cap
     assert worst["share"] > (0.9 if case == "lists-fallback" else 0.05)
     assert worst["peak"] <= _allowance(case)
 
 
+@pytest.mark.parametrize("case", ["lists-compact", "lists-fallback"])
+def test_list_layout_after_each_compaction(case):
+    # row-ordered lists: each row's starts strictly increase and lie in
+    # [ell, tail), the rows' counts and offsets tile the lists, no start is
+    # flagged yet, and the lists stay within their cap
+    ell = _sweep_case(case)[3]
+    seen = []
+
+    def column(snip, run):
+        tail = snip.tail
+        run()
+        if not snip.lists or snip.tail == tail:
+            return
+        cs, st, cnt = snip.cs, snip.st, snip.cnt
+        assert cnt.min() >= 1 and cnt.sum() == cs.size <= snip.cap
+        assert np.array_equal(st, np.cumsum(cnt) - cnt)
+        assert not snip.gone.any() and snip.gone.size == cs.size
+        assert cs.min() >= ell and cs.max() < snip.tail
+        step = np.diff(cs)
+        step[st[1:] - 1] = 1  # a row's first start follows the previous row's last
+        assert step.min() >= 1
+        seen.append(cnt.size)
+
+    _traced_sweep(case, column)
+    assert len(seen) > 10
+
+
 def test_sweep_runs_under_a_profiler():
-    # compactions resize the lists in place; a profiler's references to
-    # them must not stop a sweep, nor change its tables
+    # a profiler's references to the minimiser's arrays must not stop a
+    # sweep, nor change its tables
     rng = np.random.default_rng(3)
     sig = Signal(rng.normal(size=300) + np.repeat(rng.uniform(-3, 3, 6), 50))
     profiled = cProfile.Profile().runcall(kernseg_exact, sig, GaussianKernel(1.0), 10)
@@ -654,13 +681,13 @@ def test_chunked_block_keeps_tables_bitwise(switch):
 
 
 # candidates scanned over the sweep: dp_cells_scanned is part of the CLI's JSON
-PINNED_CELLS = {1: 10023847, 5: 10549113, "2d-variance": 25351322}
+PINNED_CELLS = {1: 10023847, 5: 15630313, "2d-variance": 45230252}
 
 
 @pytest.mark.parametrize("case", [1, 5, "2d-variance"])
 def test_pruning_engages_on_mean_shifts(case):
     if case == "2d-variance":
-        # lists for most of the sweep, then dense once they would pass their cap
+        # lists up to column 900, then dense once they would pass their cap
         n, dmax, ell, share = 3000, 12, 30, 1.0
         rng = np.random.default_rng(3000)
         x = rng.normal(size=(n, 2)) * np.repeat(rng.uniform(0.5, 3.0, (10, 2)), n // 10, axis=0)
