@@ -482,7 +482,7 @@ def test_list_layout_after_each_compaction(case):
     # [ell, tail), the rows' counts and offsets tile the lists, no start is
     # flagged yet, and the lists stay within their cap
     ell = _sweep_case(case)[3]
-    seen = []
+    tails = []
 
     def column(snip, run):
         tail = snip.tail
@@ -497,10 +497,10 @@ def test_list_layout_after_each_compaction(case):
         step = np.diff(cs)
         step[st[1:] - 1] = 1  # a row's first start follows the previous row's last
         assert step.min() >= 1
-        seen.append(cnt.size)
+        tails.append(snip.tail)
 
     _traced_sweep(case, column)
-    assert len(seen) > 10
+    assert len(tails) > 10
 
 
 def test_sweep_runs_under_a_profiler():
