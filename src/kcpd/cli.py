@@ -463,6 +463,9 @@ def _cmd_segment(args) -> int:
          "a finite positive number"),
         ("--alpha", args.alpha, "alpha" not in uses or 0 < args.alpha < 2,
          "in (0, 2) for the energy kernel"),
+        # a sum's energy children take no anchor, so only --kernel energy reads --x0
+        ("--x0", args.x0, args.kernel != "energy" or args.x0 is None or all(map(math.isfinite, args.x0)),
+         "finite numbers for the energy kernel"),
         ("--landmarks", args.landmarks, args.landmarks is None or args.landmarks >= 1, "at least 1"),
     )
     signal = load_csv(args.input)

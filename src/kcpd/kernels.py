@@ -1,8 +1,9 @@
 """Kernel families, signal containers, and robust scaling utilities.
 
-Every kernel evaluates pointwise on q-dimensional observations and also
-exposes vectorized forms (a column against a prefix of the data, full Gram
-blocks) that the segmentation algorithms rely on. All arrays are float64.
+Every kernel evaluates pointwise on q-dimensional observations and has one
+vectorised form, ``_gram`` (a Gram block, or one point against a block), on
+which ``KernelSpec`` defines ``gram``, ``cross`` and the exact sweep's prefix
+columns, so Gram rows hold the sweep's column values. All arrays are float64.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None
 class KernelSpec:
     """A symmetric kernel k(x, y) on R^q, evaluable pointwise and in blocks.
 
-    ``psd`` is True only for kernels known to be positive semi-definite;
-    the exact segmenter prunes candidate change points only for those.
+    A family defines ``_pair``, ``diag`` and ``_gram``; ``gram``, ``cross``
+    and ``prefix_column_fn`` are defined here, once, on ``_gram``. ``psd`` is
+    True only for kernels known to be positive semi-definite; the exact
+    segmenter prunes candidate change points only for those.
     """
 
     psd = False
@@ -134,27 +137,36 @@ class KernelSpec:
     def check_dim(self, q: int) -> None:
         """Raise ValueError if the kernel cannot act on q-vectors."""
 
-    def cross(self, X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Vector of k(X[i], y) over the rows of X."""
-        raise NotImplementedError
-
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Vector of k(X[i], X[i])."""
         raise NotImplementedError
 
-    def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        """Gram block k(X[i], Y[j]); symmetric k(X, X) when Y is None."""
+    def _gram(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Block k(X[i], Y[l]) of shape (len X, len Y), or the vector k(X, Y[l])
+        when X is one point (a q-vector); written into ``out`` when it is not
+        None, and returned."""
         raise NotImplementedError
 
-    def prefix_column_fn(self, X: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
-        """Return f(j, out) writing k(X[:j], X[j]) into out[:j].
+    def gram(self, X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Gram block k(X[i], Y[l]); symmetric k(X, X) when Y is None. A
+        one-point X (a q-vector) gives the vector k(X, Y[l])."""
+        return self._gram(X, X if Y is None else Y, out)
 
-        The returned closure may precompute per-signal quantities; it is the
-        workhorse of the exact segmenter and must not allocate per call
-        beyond small temporaries.
+    def cross(self, X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vector of k(X[i], y) over the rows of X."""
+        return self._gram(y, X, out)
+
+    def prefix_column_fn(self, X: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+        """Return f(j, out) writing k(X[j], X[:j]) into out[:j].
+
+        The closure is the workhorse of the exact segmenter and must not
+        allocate per call beyond small temporaries. An override may
+        precompute per-signal terms, and must give ``_gram``'s values.
         """
+        gram = self._gram
+
         def f(j: int, out: np.ndarray) -> np.ndarray:
-            return self.cross(X[:j], X[j], out=out[:j])
+            return gram(X[j], X[:j], out[:j])
 
         return f
 
@@ -168,15 +180,11 @@ class LinearKernel(KernelSpec):
     def _pair(self, x, y):
         return x @ y
 
-    def cross(self, X, y, out=None):
-        return np.matmul(X, y, out=out)
-
     def diag(self, X):
         return np.einsum("ij,ij->i", X, X)
 
-    def gram(self, X, Y=None):
-        Y = X if Y is None else Y
-        return X @ Y.T
+    def _gram(self, X, Y, out):
+        return np.matmul(X, Y.T, out=out)
 
 
 @dataclass(frozen=True)
@@ -206,25 +214,11 @@ class _Radial(_Bandwidth):
         r = (x - y) @ (x - y)
         return math.exp(-(math.sqrt(r) if self._root else r) / self.delta)
 
-    def cross(self, X, y, out=None):
-        return self._exp(_sq_dists(y, X, out))
-
     def diag(self, X):
         return np.ones(X.shape[0])
 
-    def gram(self, X, Y=None):
-        return self._exp(_sq_dists(X, Y))
-
-    def prefix_column_fn(self, X):
-        # _exp inline: the sweep pays each call and lookup once per column
-        root, scale = self._root, -self.delta
-
-        def f(j: int, out: np.ndarray) -> np.ndarray:
-            s = _sq_dists(X[j], X[:j], out[:j])
-            np.divide(np.sqrt(s, out=s) if root else s, scale, out=s)
-            return np.exp(s, out=s)
-
-        return f
+    def _gram(self, X, Y, out):
+        return self._exp(_sq_dists(X, Y, out))
 
 
 @dataclass(frozen=True)
@@ -254,14 +248,11 @@ class ExponentialKernel(_Bandwidth):
     def _pair(self, x, y):
         return math.exp(-(x @ y) / self.delta)
 
-    def cross(self, X, y, out=None):
-        return self._exp(np.matmul(X, y, out=out))
-
     def diag(self, X):
         return self._exp(np.einsum("ij,ij->i", X, X))
 
-    def gram(self, X, Y=None):
-        return self._exp(X @ (X if Y is None else Y).T)
+    def _gram(self, X, Y, out):
+        return self._exp(np.matmul(X, Y.T, out=out))
 
 
 @dataclass(frozen=True)
@@ -302,37 +293,29 @@ class EnergyKernel(KernelSpec):
         dxy = x - y
         return 0.5 * ((dx @ dx) ** (a / 2) + (dy @ dy) ** (a / 2) - (dxy @ dxy) ** (a / 2))
 
-    def _anchor_norms(self, X):
-        d = X - self._anchor(X.shape[1])
+    def diag(self, X):
+        # the anchor norms ||X[i] - x0||^a; one point gives a 1-vector
+        d = np.atleast_2d(X) - self._anchor(X.shape[-1])
         return np.einsum("ij,ij->i", d, d) ** (self.alpha / 2)
 
-    def _column(self, X, ax, y, ay, out):
-        # k(X[i], y) from the anchor norms ax of X and ay of y
-        s = _sq_dists(y, X, out)
+    def _from_dists(self, s, a_row, a_col):
+        # ((a_col - s^(a/2)) + a_row) / 2 in place, one order for every form
         np.power(s, self.alpha / 2, out=s)
-        np.subtract(ax, s, out=s)
-        s += ay
+        np.subtract(a_col, s, out=s)
+        s += a_row
         s *= 0.5
         return s
 
-    def cross(self, X, y, out=None):
-        return self._column(X, self._anchor_norms(X), y, self._anchor_norms(y[None, :])[0], out)
-
-    def diag(self, X):
-        return self._anchor_norms(X)
-
-    def gram(self, X, Y=None):
-        # not _column: (ax + ay) - d rounds differently from (ax - d) + ay
-        ax = self._anchor_norms(X)
-        ay = ax if Y is None else self._anchor_norms(Y)
-        d = _sq_dists(X, Y) ** (self.alpha / 2)
-        return 0.5 * (ax[:, None] + ay[None, :] - d)
+    def _gram(self, X, Y, out):
+        a_row = self.diag(X).reshape(X.shape[:-1] + (1,))
+        return self._from_dists(_sq_dists(X, Y, out), a_row, self.diag(Y))
 
     def prefix_column_fn(self, X):
-        anchor = self._anchor_norms(X)
+        # the anchor norms of the whole signal, computed once
+        norms, from_dists = self.diag(X), self._from_dists
 
         def f(j: int, out: np.ndarray) -> np.ndarray:
-            return self._column(X[:j], anchor[:j], X[j], anchor[j], out[:j])
+            return from_dists(_sq_dists(X[j], X[:j], out[:j]), norms[j], norms[:j])
 
         return f
 
@@ -388,38 +371,35 @@ class SumKernel(KernelSpec):
 
     def _sum_over_children(self, X, part):
         # sum over children of part(child, its columns, X restricted to them)
-        self.check_dim(X.shape[1])
+        self.check_dim(X.shape[-1])
         acc = None
         for idxs, spec in self.children:
             cols = list(idxs)
-            val = part(spec, cols, np.ascontiguousarray(X[:, cols]))
+            val = part(spec, cols, np.ascontiguousarray(X[..., cols]))
             acc = val if acc is None else acc + val
-        return acc
-
-    def cross(self, X, y, out=None):
-        acc = self._sum_over_children(X, lambda spec, cols, xc: spec.cross(xc, y[cols]))
-        if out is not None:
-            out[: acc.shape[0]] = acc
-            return out[: acc.shape[0]]
         return acc
 
     def diag(self, X):
         return self._sum_over_children(X, lambda spec, cols, xc: spec.diag(xc))
 
-    def gram(self, X, Y=None):
-        return self._sum_over_children(X, lambda spec, cols, xc: spec.gram(
-            xc, None if Y is None else np.ascontiguousarray(Y[:, cols])))
+    def _gram(self, X, Y, out):
+        acc = self._sum_over_children(
+            X, lambda spec, cols, xc: spec._gram(xc, np.ascontiguousarray(Y[:, cols]), None))
+        if out is None:
+            return acc
+        out[...] = acc
+        return out
 
     def prefix_column_fn(self, X):
+        # each child's column function on its own contiguous slice of X
         self.check_dim(X.shape[1])
-        (first_fn, first_buf), *rest = [
-            (spec.prefix_column_fn(np.ascontiguousarray(X[:, list(idxs)])), np.empty(X.shape[0]))
-            for idxs, spec in self.children]
+        first_fn, *rest = [spec.prefix_column_fn(np.ascontiguousarray(X[:, list(idxs)]))
+                           for idxs, spec in self.children]
+        buf = np.empty(X.shape[0])
 
         def f(j: int, out: np.ndarray) -> np.ndarray:
-            target = out[:j]
-            target[:] = first_fn(j, first_buf)
-            for child_fn, buf in rest:
+            target = first_fn(j, out)
+            for child_fn in rest:
                 target += child_fn(j, buf)
             return target
 

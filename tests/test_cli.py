@@ -250,6 +250,8 @@ _SEGMENT_FLAG_CASES = [
     ("--alpha 2 --kernel energy", "--alpha must be in (0, 2) for the energy kernel, got 2.0"),
     ("--alpha nan --kernel sum --sum-child energy",
      "--alpha must be in (0, 2) for the energy kernel, got nan"),
+    ("--x0 nan --kernel energy", "--x0 must be finite numbers for the energy kernel, got [nan]"),
+    ("--x0 1e999 --kernel energy", "--x0 must be finite numbers for the energy kernel, got [inf]"),
     ("--landmarks 0 --algorithm lowrank-binseg", "--landmarks must be at least 1, got 0"),
     ("--landmarks -3", "--landmarks must be at least 1, got -3"),
 ]
@@ -271,9 +273,10 @@ def test_segment_flag_values(tmp_path, capsys, monkeypatch, flags, message):
 
 
 @pytest.mark.parametrize("flags", ["--alpha 3", "--delta 0 --kernel linear",
-                                   "--delta -1 --kernel energy", "--delta nan --kernel sum --sum-child linear"])
+                                   "--delta -1 --kernel energy", "--delta nan --kernel sum --sum-child linear",
+                                   "--x0 nan --kernel sum --sum-child energy"])
 def test_unused_kernel_flags_are_not_checked(tmp_path, flags):
-    # --delta and --alpha are checked only where the selected family uses them
+    # --delta, --alpha and --x0 are checked only where the selected kernel uses them
     p = _write(tmp_path / "x.csv", "\n".join(str(float(v % 7)) for v in range(40)) + "\n")
     assert main(["segment", "--input", p, "--dmax", "10", *flags.split(),
                  "--output", str(tmp_path / "o.json")]) == EXIT_OK
@@ -629,6 +632,18 @@ def test_bench_honours_min_seg_len():
     assert [r["algorithm"] for r in rows] == ["exact", "lowrank-binseg"]
     with pytest.raises(ValueError, match="length >= 30 need 30 points"):
         run_bench([10], ["exact"], dmax=3, ell=30)
+
+
+def test_bench_sqrt_landmark_rule(tmp_path):
+    out = str(tmp_path / "bench.csv")
+    rc = main(["bench", "--grid", "150,300,1000", "--algorithms", "lowrank-binseg", "--p-rule", "sqrt",
+               "--dmax", "4", "--output", out])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [150, 300, 1000]
+    for r in rows:
+        n = int(r[1])
+        assert int(r[2]) == min(round(math.sqrt(n)), n)
 
 
 def test_bench_cli_csv(tmp_path):

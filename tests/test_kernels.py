@@ -11,14 +11,19 @@ from kcpd import (
     EnergyKernel,
     ExponentialKernel,
     GaussianKernel,
+    KernelSpec,
     LaplaceKernel,
     LinearKernel,
     Signal,
     SumKernel,
+    binary_segmentation,
     empirical_mmd_sq,
     energy_distance,
     evaluate,
+    kernseg_exact,
     mad_scale,
+    naive_dp,
+    nystrom_embed,
 )
 from kcpd.kernels import _median_rows, _sq_dists
 
@@ -100,14 +105,57 @@ def _check_prefix_columns(X):
             got = fn(j, buf)
             want = spec.cross(X[:j].copy(), X[j])
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-    # radial kernels: a block of Gram rows holds the prefix columns bitwise
-    for spec in (GaussianKernel(1.3), LaplaceKernel(0.7)):
+            # cross is the one-point Gram form, to the byte
+            assert spec.gram(X[j], X[:j].copy()).tobytes() == want.tobytes()
+    # a block of Gram rows holds the prefix columns bitwise; gemm and gemv
+    # round inner products differently, so linear and exponential at q = 1 only
+    block_specs = [GaussianKernel(1.3), LaplaceKernel(0.7), EnergyKernel(1.0),
+                   EnergyKernel(0.5, tuple(np.linspace(-0.2, 0.3, q))),
+                   SumKernel.per_coordinate(([EnergyKernel(1.0), EnergyKernel(0.5), EnergyKernel(1.5)] * q)[:q])]
+    if q == 1:
+        block_specs += [LinearKernel(), ExponentialKernel(2.0)]
+    for spec in block_specs:
         fn = spec.prefix_column_fn(X)
         buf = np.empty(30)
         for j, B in ((1, 5), (10, 8), (22, 8)):
             block = spec.gram(X[j : j + B], X)
             for k in range(B):
                 np.testing.assert_array_equal(block[k, : j + k], fn(j + k, buf))
+
+
+class _Cauchy(KernelSpec):
+    """k(x, y) = 1 / (1 + ||x - y||^2), from the three methods a custom kernel defines."""
+
+    def _pair(self, x, y):
+        return 1.0 / (1.0 + (x - y) @ (x - y))
+
+    def diag(self, X):
+        return np.ones(X.shape[0])
+
+    def _gram(self, X, Y, out):
+        d = ((X[..., None, :] - Y) ** 2).sum(axis=-1)
+        return np.divide(1.0, 1.0 + d, out=out)
+
+
+def test_custom_kernel_from_three_methods(rng):
+    spec = _Cauchy()
+    X = rng.normal(size=(40, 2))
+    X[20:] += 3.0
+    # cross, gram and the sweep's columns come from _gram alone
+    fn = spec.prefix_column_fn(X)
+    buf = np.empty(40)
+    for j in (1, 13, 39):
+        want = spec.cross(X[:j], X[j])
+        np.testing.assert_allclose(want, [evaluate(spec, x, X[j]) for x in X[:j]], rtol=1e-14)
+        assert fn(j, buf).tobytes() == want.tobytes()
+        assert spec.gram(X[:j], X[j : j + 1])[:, 0].tobytes() == want.tobytes()
+    # both engines run on it
+    exact, naive = kernseg_exact(X, spec, dmax=6), naive_dp(X, spec, dmax=6)
+    rel = np.abs(exact.losses() - naive.losses()) / np.maximum(np.abs(naive.losses()), 1e-9)
+    assert rel.max() <= 1e-9
+    assert exact.backtrack(2).starts == (1, 21)
+    fast = binary_segmentation(nystrom_embed(X, spec, p=10), dmax=4)
+    assert fast.segmentations[1].starts == (1, 21)
 
 
 @settings(max_examples=300, deadline=None)
