@@ -1,12 +1,12 @@
 """Table minimisation of the exact segmenter.
 
-At each right boundary e of the sweep, :func:`column_step` takes the cost
-column C(s, e) from the sweep's :class:`~kcpd.exact_dp.CostColumnState`
-and updates the loss table: row r (D = r + 1 segments) takes the minimum
-over starts s in [ell, e - ell] of L[r-1, s] + C(s, e). For PSD kernels
-the ``Snip`` class scans only the starts that SNIP pruning has not ruled
-out. It forms the same float sums as a full scan and keeps the first
-minimum, so L and back are bitwise those of the unpruned minimisation.
+At each right boundary e of the sweep, :func:`column_step` updates the loss
+table from the cost column C(s, e) it is given: row r (D = r + 1 segments)
+takes the minimum over starts s in [ell, e - ell] of L[r-1, s] + C(s, e).
+For PSD kernels the ``Snip`` class scans only the starts that SNIP pruning
+has not ruled out. It forms the same float sums as a full scan and keeps
+the first minimum, so L and back are bitwise those of the unpruned
+minimisation.
 
 Infeasible dynamic-programming cells hold the finite sentinel BIG rather
 than inf, so the candidate sums L[r-1, s] + cost(s, e) and the ``Snip``
@@ -16,8 +16,6 @@ into a NaN.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,20 +29,12 @@ def back_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint16 if n <= np.iinfo(np.uint16).max else np.int32)
 
 
-def column_step(L, back, state, e, ell, dmax, snip):
-    """Update the loss table at column e, the right boundary ``state.end``.
+def column_step(L, back, cbuf, e, ell, dmax, snip):
+    """Update the loss table at column e >= ell from its cost column.
 
-    The cost column is written into the state's scratch vector, which held
-    the kernel column of the last advance. ``snip`` is the sweep's
-    :class:`Snip`."""
-    if e < ell:
-        return
-    cbuf = state.cost_column(ell, state._buf)
+    ``cbuf[s]`` is C(s, e) for s = 0..e-ell, finite; ``snip`` is the
+    sweep's :class:`Snip`."""
     L[0, e] = cbuf[0]
-    # cost(0, e) sums every A[:e] and diag[:e], so a non-finite value
-    # anywhere shows here; the caller reports it
-    if not math.isfinite(cbuf[0]):
-        return
     d_hi = min(e // ell, dmax)
     if d_hi >= 2:
         snip.minimize(L, back, cbuf, e, ell, d_hi)
@@ -141,8 +131,6 @@ class Snip:
     def minimize(self, L, back, cbuf, e, ell, d_hi):
         """Table update at column e for D = 2..d_hi (requires d_hi >= 2)."""
         lo, hi = ell, e - ell + 1
-        if hi <= lo:
-            return
         v1 = L[0, lo:hi] + cbuf[lo:hi]
         i1 = int(v1.argmin())
         L[1, e] = v1[i1]
@@ -151,29 +139,24 @@ class Snip:
         self.scanned += hi - lo
         if d_hi == 2:
             return
-        # row 1's loss, then those of rows 2.. and their starts as they
-        # finish; L and back get them in one strided write at the end
-        best = np.empty(d_hi - 1)
-        best[0] = L[1, e]
-        best_s = np.empty(d_hi - 2, dtype=np.intp)
+        # rows 2.. write their losses and starts into column e as each
+        # scan finishes
         t0 = max(self.tail, lo) if self.lists else lo
-        self._block(L, cbuf, t0, hi, best, best_s)
+        self._block(L, back, cbuf, e, t0, hi, d_hi - 2)
         if self.lists:
             # the lists precede the tail, so they win ties. A start dominated
             # at e may still win until e + ell - 1, so it is only flagged, and
             # the compaction ending the period drops it.
-            self._scan(cbuf, (-e) % (_PERIOD + ell - 1) >= ell - 1, best, best_s)
-        L[2:d_hi, e] = best[1:]
-        back[2:d_hi, e] = best_s
-        if self.lists and e % (_PERIOD + ell - 1) == 0:
-            self._compact(L, t0, hi, d_hi - 2)
+            self._scan(L, back, cbuf, e, (-e) % (_PERIOD + ell - 1) >= ell - 1)
+            if e % (_PERIOD + ell - 1) == 0:
+                self._compact(L, t0, hi, d_hi - 2)
 
-    def _block(self, L, cbuf, t0, hi, best, best_s):
-        # rows 2.. over the starts t0..hi-1, in chunks of whole rows: dense,
-        # in the scratch and one row add at a time; in list mode, at most
-        # n + 1 entries a chunk and one 2-D add each, whose buffers numpy
-        # holds at up to twice the chunk
-        nr, w = best_s.size, hi - t0
+    def _block(self, L, back, cbuf, e, t0, hi, nr):
+        # rows 2..nr+1 over the starts t0..hi-1, in chunks of whole rows:
+        # dense, in the scratch and one row add at a time; in list mode, at
+        # most n + 1 entries a chunk and one 2-D add each, whose buffers
+        # numpy holds at up to twice the chunk
+        w = hi - t0
         self.scanned += nr * w
         c = cbuf[t0:hi]
         buf = None if self.lists else np.empty(min(nr * w, self.scratch))
@@ -186,11 +169,11 @@ class Snip:
                 v = buf[: (b - a) * w].reshape(b - a, w)
                 for i in range(b - a):
                     np.add(L[1 + a + i, t0:hi], c, out=v[i])
-            s = v.argmin(axis=1, out=best_s[a:b])
-            best[1 + a : 1 + b] = v.ravel().take(s + np.arange(0, v.size, w))
-        best_s += t0
+            s = v.argmin(axis=1)
+            L[2 + a : 2 + b, e] = v.ravel().take(s + np.arange(0, v.size, w))
+            back[2 + a : 2 + b, e] = s + t0
 
-    def _scan(self, cbuf, check, best, best_s):
+    def _scan(self, L, back, cbuf, e, check):
         # every list row in one pass; its temporaries (values, a repeated
         # row minimum or threshold, a mask) go at return
         cs, st, cnt = self.cs, self.st, self.cnt
@@ -202,14 +185,13 @@ class Snip:
         hit = (v == mins.repeat(cnt)).nonzero()[0]
         first = hit[hit.searchsorted(st)]
         del hit
-        rows = best[1 : 1 + nr]
-        win = mins <= rows
+        win = mins <= L[2 : 2 + nr, e]
         first = first[win]
-        rows[win] = v[first]
-        best_s[:nr][win] = cs[first]
+        L[2 : 2 + nr, e][win] = v[first]
+        back[2 : 2 + nr, e][win] = cs[first]
         if check:
             # against the previous rows' losses at e, now final
-            thr = best[:nr]
+            thr = L[1 : 1 + nr, e]
             self.gone |= v > (thr + (_REL_MARGIN * np.abs(thr) + self.tau)).repeat(cnt)
 
     def _compact(self, L, t0, hi, nr):

@@ -53,7 +53,7 @@ class InputError(Exception):
     pass
 
 
-class InfeasibleError(Exception):
+class InfeasibleError(ValueError):
     pass
 
 
@@ -255,10 +255,7 @@ def run_segment(
 
     fit = None
     if c1 is None:
-        try:
-            fit = slope_heuristic(losses, signal.n, ell)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from exc
+        fit = slope_heuristic(losses, signal.n, ell)
         pen = PenaltySpec(fit.c1, fit.c2, signal.n, dmax, ell)
     else:
         pen = PenaltySpec(c1, c2, signal.n, dmax, ell)
@@ -562,9 +559,6 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -322,9 +322,14 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
         for e in range(1, n + 1):
             if e >= 2:
                 state.advance()
-            _dp_core.column_step(L, back, state, e, ell, dmax, snip)
-            if not math.isfinite(L[0, e]):
+            if e < ell:
+                continue
+            # cost(0, e) sums every A[:e] and diag[:e], so a non-finite
+            # value anywhere shows in it
+            cbuf = state.cost_column(ell, state._buf)
+            if not math.isfinite(cbuf[0]):
                 raise overflow_error(spec, f"segment cost at column {e}")
+            _dp_core.column_step(L, back, cbuf, e, ell, dmax, snip)
 
     table_numbers = kernseg_table_bytes(n, dmax, spec.psd) / 8.0
     return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)

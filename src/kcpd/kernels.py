@@ -149,8 +149,9 @@ class KernelSpec:
 
     def gram(self, X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Gram block k(X[i], Y[l]); symmetric k(X, X) when Y is None. A
-        one-point X (a q-vector) gives the vector k(X, Y[l])."""
-        return self._gram(X, X if Y is None else Y, out)
+        one-point X (a q-vector) gives the vector k(X, Y[l]), of length 1
+        when Y is None."""
+        return self._gram(X, np.atleast_2d(X) if Y is None else Y, out)
 
     def cross(self, X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Vector of k(X[i], y) over the rows of X."""

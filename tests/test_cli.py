@@ -232,6 +232,9 @@ def test_infeasible_configuration_exit_code(tmp_path, capsys):
         (50, [], "infeasible: 100 segments of length >= 1 need 100 points, signal has 50" + hint),
         # no hint where lowering --dmax is not the fix
         (20, ["--dmax", "0"], "Dmax must be at least 1, got 0"),
+        # the slope fit's own error
+        (40, ["--dmax", "5"],
+         "slope calibration needs Dmax >= 10 loss values, got 5; supply (c1, c2) explicitly instead"),
     ):
         p = _write(tmp_path / "short.csv", "\n".join(str(float(v)) for v in range(rows)) + "\n")
         rc = main(["segment", "--input", p, *flags])

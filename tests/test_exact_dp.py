@@ -27,7 +27,8 @@ from kcpd import (
     segment_cost_direct,
 )
 from kcpd import _dp_core
-from kcpd.exact_dp import kernseg_table_bytes
+from kcpd._dp_core import BIG, back_dtype
+from kcpd.exact_dp import _direct_cost_table, kernseg_table_bytes
 
 from conftest import best_by_enumeration, direct_cost_matrix, random_signal
 
@@ -647,6 +648,44 @@ def test_forced_switches_keep_tables_bitwise(switch):
 
 def _one_row(n, dmax):
     return n + 1
+
+
+SEAM_FAMILIES = [LinearKernel(), GaussianKernel(1.0), LaplaceKernel(1.0), ExponentialKernel(4.0),
+                 EnergyKernel(1.0)]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("family", range(len(SEAM_FAMILIES)),
+                         ids=[type(spec).__name__ for spec in SEAM_FAMILIES])
+def test_column_step_on_direct_costs_is_naive_dp(family, q):
+    # the minimiser alone, fed the explicit Gram table's cost columns: dense,
+    # and for PSD kernels pruned with the built-in and the eager switch
+    # (at n <= 90 the built-in one leaves the lists at its first
+    # compaction). Where kernseg_exact and naive_dp differ, the difference
+    # lies in the costs.
+    spec = SEAM_FAMILIES[family]
+    runs = [(False, "builtin")] + ([(True, "builtin"), (True, "eager")] if spec.psd else [])
+    rng = np.random.default_rng([family, q])
+    pruned = 0
+    for _ in range(30):
+        n = int(rng.integers(5, 91))
+        sig = Signal(random_signal(rng, n, q=q))
+        dmax = int(rng.integers(2, min(n, 12) + 1))
+        want = naive_dp(sig, spec, dmax)
+        C = _direct_cost_table(sig, spec)
+        for prune, switch in runs:
+            L = np.full((dmax, n + 1), BIG)
+            back = np.zeros((dmax, n + 1), dtype=back_dtype(n))
+            with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
+                snip = _dp_core.Snip(n, dmax, float(spec.diag(sig.data).sum()), prune)
+                for e in range(1, n + 1):
+                    _dp_core.column_step(L, back, C[:e, e].copy(), e, 1, dmax, snip)
+            assert L.tobytes() == want._L.tobytes()
+            assert back.tobytes() == want._back.tobytes()
+            if not prune:
+                dense = snip.scanned
+            pruned += snip.scanned < dense
+    assert pruned > 0 or not spec.psd
 
 
 def _whole_block(n, dmax):

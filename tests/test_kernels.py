@@ -79,6 +79,9 @@ def test_cross_and_gram_match_pointwise(rng):
         col = spec.cross(X.copy(), y)
         G = spec.gram(X)
         d = spec.diag(X)
+        # a one-point signal given as a q-vector: its Gram row is a 1-vector
+        assert spec.gram(y).shape == (1,)
+        assert spec.gram(y).tobytes() == spec.gram(y, y[None, :]).tobytes()
         for i in range(12):
             assert col[i] == pytest.approx(evaluate(spec, X[i], y), rel=1e-12, abs=1e-12)
             assert d[i] == pytest.approx(evaluate(spec, X[i], X[i]), rel=1e-12, abs=1e-12)
