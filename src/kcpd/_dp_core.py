@@ -94,7 +94,7 @@ def scratch_floats(n: int, dmax: int) -> int:
 
 
 class Snip:
-    """Minimiser state for one exact sweep.
+    """Minimiser of one exact sweep.
 
     With ``prune`` (kernels known to be PSD) the sweep starts in list mode
     and stays there until a compaction would keep more than the lists' cap,
