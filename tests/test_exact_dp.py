@@ -27,7 +27,6 @@ from kcpd import (
     segment_cost_direct,
 )
 from kcpd import _dp_core
-from kcpd._dp_core import BIG, back_dtype
 from kcpd.exact_dp import _direct_cost_table, kernseg_table_bytes
 
 from conftest import best_by_enumeration, direct_cost_matrix, random_signal
@@ -674,8 +673,8 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
         want = naive_dp(sig, spec, dmax)
         C = _direct_cost_table(sig, spec)
         for prune, switch in runs:
-            L = np.full((dmax, n + 1), BIG)
-            back = np.zeros((dmax, n + 1), dtype=back_dtype(n))
+            L = np.full((dmax, n + 1), _dp_core.BIG)
+            back = np.zeros((dmax, n + 1), dtype=_dp_core.back_dtype(n))
             with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
                 snip = _dp_core.Snip(n, dmax, float(spec.diag(sig.data).sum()), prune)
                 for e in range(1, n + 1):
