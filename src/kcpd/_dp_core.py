@@ -64,10 +64,8 @@ def column_step(L, back, cbuf, e, ell, dmax, snip):
 #   most 17 bytes an entry of temporaries beside the lists' 13. The block
 #   is added in chunks of rows of at most n + 1 entries.
 # - Dense, for other kernels and for the rest of a PSD sweep once a
-#   compaction would keep more than the lists' cap: every start, in chunks
-#   of whole rows inside one scratch buffer of at most scratch_floats(n,
-#   dmax) floats, one row add at a time (numpy buffers a 2-D add of short
-#   rows outside the scratch).
+#   compaction would keep more than the lists' cap: every start, one row at
+#   a time, like row 1, in one buffer of n + 1 floats made once per sweep.
 # Rows are scanned in order and a row's lists precede its tail, so each
 # first minimum is that of one scan over all the row's starts.
 
@@ -83,16 +81,6 @@ _LEAVE = 10
 _REL_MARGIN = 2e-9
 
 
-def scratch_floats(n: int, dmax: int) -> int:
-    """Floats of the dense scan's scratch: whole rows of n + 1, as many as
-    fit in the candidate lists' count (30 bytes for each of up to 1/_LEAVE
-    of the cells of rows 2..), at least one and at most the dmax - 2 rows
-    of the block. Below 65536 points that is within the room the 16-bit
-    back-pointers free."""
-    rows = 30 * (max(dmax - 2, 0) * (n + 1) // _LEAVE) // (8 * (n + 1))
-    return min(max(dmax - 2, 0), max(1, rows)) * (n + 1)
-
-
 class Snip:
     """Minimiser of one exact sweep.
 
@@ -105,7 +93,6 @@ class Snip:
     def __init__(self, n: int, dmax: int, diag_sum: float, prune: bool):
         self.lists = prune
         self.scanned = 0
-        self.scratch = scratch_floats(n, dmax)
         self.cap = max(dmax - 2, 0) * (n + 1) // _LEAVE
         # Costs come from suffix sums of A and diag; for a PSD kernel every
         # partial sum is bounded by (length) * sum(diag), so the rounding
@@ -117,58 +104,58 @@ class Snip:
         self.cs, self.lc, self.gone = np.empty(0, np.int32), np.empty(0), np.empty(0, bool)
         self.st, self.cnt = np.empty(0, np.intp), np.empty(0, np.intp)
         self.tail = 0  # first start not in the lists (scanned from ell on)
+        # the dense rows' buffer; a PSD sweep makes it when it drops its lists
+        self.row = None if prune or dmax <= 2 else np.empty(n + 1)
 
     @staticmethod
     def table_bytes(n: int, dmax: int, prune: bool) -> int:
-        """Bytes of the minimiser's tables: the dense scan's scratch and,
-        when it prunes, the candidate lists at their cap, 30 bytes an entry
-        (an int32 start, a float64 cached loss and a pruned flag, and the
-        17 bytes a scan or compaction holds beside each). The lists are gone
-        before the scratch is first made, so the larger of the two counts."""
-        scratch = 8 * scratch_floats(n, dmax)
-        return max(scratch, 30 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else scratch
+        """Bytes of the minimiser's tables: the dense rows' buffer of n + 1
+        floats when dmax > 2 and, when it prunes, the candidate lists at
+        their cap, 30 bytes an entry (an int32 start, a float64 cached loss
+        and a pruned flag, and the 17 bytes a scan or compaction holds
+        beside each). The lists are gone before the buffer is made, so the
+        larger of the two counts."""
+        row = 8 * (n + 1) if dmax > 2 else 0
+        return max(row, 30 * (max(dmax - 2, 0) * (n + 1) // _LEAVE)) if prune else row
 
     def minimize(self, L, back, cbuf, e, ell, d_hi):
         """Table update at column e for D = 2..d_hi (requires d_hi >= 2)."""
         lo, hi = ell, e - ell + 1
-        v1 = L[0, lo:hi] + cbuf[lo:hi]
-        i1 = int(v1.argmin())
-        L[1, e] = v1[i1]
-        back[1, e] = i1 + lo
-        del v1
-        self.scanned += hi - lo
-        if d_hi == 2:
+        self._rows(L, back, cbuf, e, lo, hi, 2 if self.lists else d_hi)
+        if not self.lists or d_hi == 2:
             return
-        # rows 2.. write their losses and starts into column e as each
-        # scan finishes
-        t0 = max(self.tail, lo) if self.lists else lo
+        t0 = max(self.tail, lo)
         self._block(L, back, cbuf, e, t0, hi, d_hi - 2)
-        if self.lists:
-            # the lists precede the tail, so they win ties. A start dominated
-            # at e may still win until e + ell - 1, so it is only flagged, and
-            # the compaction ending the period drops it.
-            self._scan(L, back, cbuf, e, (-e) % (_PERIOD + ell - 1) >= ell - 1)
-            if e % (_PERIOD + ell - 1) == 0:
-                self._compact(L, t0, hi, d_hi - 2)
+        # the lists precede the tail, so they win ties. A start dominated at
+        # e may still win until e + ell - 1, so it is only flagged, and the
+        # compaction ending the period drops it.
+        self._scan(L, back, cbuf, e, (-e) % (_PERIOD + ell - 1) >= ell - 1)
+        if e % (_PERIOD + ell - 1) == 0:
+            self._compact(L, t0, hi, d_hi - 2)
+
+    def _rows(self, L, back, cbuf, e, lo, hi, r_end):
+        # rows 1..r_end-1 over every start lo..hi-1, one row at a time, in the
+        # dense rows' buffer or, in list mode or at dmax <= 2, a temporary
+        c = cbuf[lo:hi]
+        out = None if self.row is None else self.row[: hi - lo]
+        self.scanned += (r_end - 1) * (hi - lo)
+        for r in range(1, r_end):
+            v = np.add(L[r - 1, lo:hi], c, out=out)
+            i = int(v.argmin())
+            L[r, e] = v[i]
+            back[r, e] = i + lo
 
     def _block(self, L, back, cbuf, e, t0, hi, nr):
-        # rows 2..nr+1 over the starts t0..hi-1, in chunks of whole rows:
-        # dense, in the scratch and one row add at a time; in list mode, at
-        # most n + 1 entries a chunk and one 2-D add each, whose buffers
-        # numpy holds at up to twice the chunk
+        # list mode's rows 2..nr+1 over the starts t0..hi-1, in chunks of
+        # whole rows of at most n + 1 entries and one 2-D add each, whose
+        # buffers numpy holds at up to twice the chunk
         w = hi - t0
         self.scanned += nr * w
         c = cbuf[t0:hi]
-        buf = None if self.lists else np.empty(min(nr * w, self.scratch))
-        rows = max(1, L.shape[1] // w) if buf is None else buf.size // w
+        rows = max(1, L.shape[1] // w)
         for a in range(0, nr, rows):
             b = min(a + rows, nr)
-            if buf is None:
-                v = L[1 + a : 1 + b, t0:hi] + c
-            else:
-                v = buf[: (b - a) * w].reshape(b - a, w)
-                for i in range(b - a):
-                    np.add(L[1 + a + i, t0:hi], c, out=v[i])
+            v = L[1 + a : 1 + b, t0:hi] + c
             s = v.argmin(axis=1)
             L[2 + a : 2 + b, e] = v.ravel().take(s + np.arange(0, v.size, w))
             back[2 + a : 2 + b, e] = s + t0
@@ -203,6 +190,7 @@ class Snip:
         self.gone = None
         if counts.sum() + nr * kt > self.cap:
             self.lists, self.cs, self.lc = False, None, None
+            self.row = np.empty(L.shape[1])
             return
         self.cs = self.cs[keep]
         self.lc = self.lc[keep]

@@ -526,6 +526,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     _check_flags(
+        ("--grid", args.grid, len(args.grid) > 0, "one or more signal lengths"),
+        ("--algorithms", args.algorithms, len(args.algorithms) > 0, "one or more algorithm names"),
         ("--landmarks", args.landmarks, args.landmarks >= 1, "at least 1"),
         ("--seed", args.seed, args.seed >= 0, "a nonnegative integer"),
         ("--memory-budget", args.memory_budget, args.memory_budget >= 0, "a nonnegative integer"),

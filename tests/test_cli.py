@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -543,6 +544,9 @@ def test_simulate_flag_values(tmp_path, capsys, flags, code, message):
 
 # (flags, error message); each is refused before the warm-up runs
 _BENCH_FLAG_CASES = [
+    ('--grid ""', "--grid must be one or more signal lengths, got []"),
+    ("--grid ,", "--grid must be one or more signal lengths, got []"),
+    ('--algorithms ""', "--algorithms must be one or more algorithm names, got []"),
     ("--landmarks 0", "--landmarks must be at least 1, got 0"),
     ("--seed -1", "--seed must be a nonnegative integer, got -1"),
     ("--memory-budget -5", "--memory-budget must be a nonnegative integer, got -5"),
@@ -558,7 +562,7 @@ def test_bench_flag_values(tmp_path, capsys, monkeypatch, flags, message):
     monkeypatch.setattr("kcpd.cli._solve", unreached)
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--grid", "100", "--algorithms", "exact", "--dmax", "3",
-               "--output", str(out), *flags.split()])
+               "--output", str(out), *shlex.split(flags)])
     assert rc == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

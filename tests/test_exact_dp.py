@@ -503,6 +503,28 @@ def test_list_layout_after_each_compaction(case):
     assert len(tails) > 10
 
 
+@pytest.mark.parametrize("case", ["dense-exponential", "laplace-2d"])
+def test_dense_sweep_makes_its_row_buffer_once(case):
+    # one buffer of n + 1 floats serves every dense column; a PSD sweep has
+    # none while it holds its lists (the second case leaves them mid-sweep)
+    n = _sweep_case(case)[0].n
+    bufs, list_columns = [], 0
+
+    def column(snip, run):
+        nonlocal list_columns
+        run()
+        if snip.lists:
+            assert snip.row is None
+            list_columns += 1
+        else:
+            bufs.append(snip.row)
+
+    _traced_sweep(case, column)
+    assert len(bufs) > 1000 and (list_columns > 0) == (case == "laplace-2d")
+    assert bufs[0].dtype == np.float64 and bufs[0].shape == (n + 1,)
+    assert all(buf is bufs[0] for buf in bufs)
+
+
 def test_sweep_runs_under_a_profiler():
     # a profiler's references to the minimiser's arrays must not stop a
     # sweep, nor change its tables
@@ -520,6 +542,19 @@ def test_back_pointer_dtype_fits_n():
             rest = 8 * dmax * (n + 1) + 8 * (4 * n + 1) + _dp_core.Snip.table_bytes(n, dmax, psd)
             back = kernseg_table_bytes(n, dmax, psd) - rest
             assert back == np.dtype(dtype).itemsize * dmax * (n + 1)
+
+
+def test_minimiser_counts_its_row_and_lists():
+    # the dense rows' buffer, n + 1 floats when dmax > 2; a PSD sweep counts
+    # the larger of it and the lists' cap of 30 bytes for each of a tenth of
+    # the cells of rows 2..
+    sizes = [(n, dmax) for n in range(1, 400) for dmax in range(1, min(n, 59) + 1)]
+    sizes += [(n, dmax) for n in (1000, 8000, 12000, 65535, 65536, 100000) for dmax in range(1, 200)]
+    for n, dmax in sizes:
+        row = 8 * (n + 1) if dmax > 2 else 0
+        assert _dp_core.Snip.table_bytes(n, dmax, False) == row
+        lists = 30 * (max(dmax - 2, 0) * (n + 1) // 10)
+        assert _dp_core.Snip.table_bytes(n, dmax, True) == max(row, lists)
 
 
 def test_small_sweep_backtracks_like_naive(rng):
@@ -623,16 +658,16 @@ def test_pruned_tables_equal_dense_bitwise(
     assert pruned.cells_scanned <= dense.cells_scanned
 
 
-@pytest.mark.parametrize("switch", ["eager", "thrash"])
+@pytest.mark.parametrize("switch", ["builtin", "eager", "thrash"])
 def test_forced_switches_keep_tables_bitwise(switch):
-    # longer floors than the property test: a start flagged at a check may
-    # still win for ell - 1 columns
+    # longer signals and floors than the property test: a start flagged at a
+    # check may still win for ell - 1 columns
     rng = np.random.default_rng(31)
     families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
     for trial in range(100):
         spec = families[trial % 4]
         n = int(rng.integers(60, 160))
-        ell = int(rng.integers(2, 7))
+        ell = int(rng.integers(1, 7))
         dmax = min(int(rng.integers(3, 16)), n // ell)
         x = rng.normal(size=n)
         for _ in range(int(rng.integers(1, 8))):
@@ -643,10 +678,6 @@ def test_forced_switches_keep_tables_bitwise(switch):
         with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
             pruned = kernseg_exact(Signal(x), spec, dmax, ell)
         _assert_same_tables(pruned, dense)
-
-
-def _one_row(n, dmax):
-    return n + 1
 
 
 SEAM_FAMILIES = [LinearKernel(), GaussianKernel(1.0), LaplaceKernel(1.0), ExponentialKernel(4.0),
@@ -685,37 +716,6 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
                 dense = snip.scanned
             pruned += snip.scanned < dense
     assert pruned > 0 or not spec.psd
-
-
-def _whole_block(n, dmax):
-    return max(dmax - 2, 1) * (n + 1)
-
-
-@pytest.mark.parametrize("switch", ["builtin", "eager", "thrash"])
-def test_chunked_block_keeps_tables_bitwise(switch):
-    # a one-row dense scratch: dense columns scan rows 2.. one row at a
-    # time; the reference scans each column's block at once
-    rng = np.random.default_rng(47)
-    families = [GaussianKernel(1.0), LaplaceKernel(1.0), LinearKernel(), EnergyKernel(1.0)]
-    for trial in range(40):
-        spec = families[trial % 4]
-        n = int(rng.integers(60, 160))
-        ell = int(rng.integers(1, 5))
-        dmax = min(int(rng.integers(3, 16)), n // ell)
-        x = rng.normal(size=n)
-        for _ in range(int(rng.integers(1, 8))):
-            x[int(rng.integers(1, n)) :] += rng.normal(0, 3)
-        if trial % 5 == 0:
-            x = np.round(x)
-        runs = {}
-        for scratch in (_whole_block, _one_row):
-            with mock.patch.multiple(_dp_core, scratch_floats=scratch, **SWITCHES[switch]):
-                runs[scratch] = (kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell),
-                                 kernseg_exact(Signal(x), spec, dmax, ell))
-        for whole, chunked in zip(runs[_whole_block], runs[_one_row]):
-            _assert_same_tables(chunked, whole)
-            _assert_same_tables(chunked, runs[_whole_block][0])
-            assert chunked.cells_scanned == whole.cells_scanned
 
 
 # candidates scanned over the sweep: dp_cells_scanned is part of the CLI's JSON
