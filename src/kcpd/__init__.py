@@ -9,11 +9,10 @@ segmentation, and penalized selection of the number of segments.
 __version__ = "0.1.0"
 
 from .exact_dp import (
-    CostColumnState,
     DPResult,
     Segmentation,
-    advance_column,
     backtrack,
+    cost_columns,
     kernseg_exact,
     naive_dp,
     segment_cost_direct,
@@ -78,10 +77,9 @@ __all__ = [
     "empirical_mmd_sq",
     "energy_distance",
     "Segmentation",
-    "CostColumnState",
     "DPResult",
     "segment_cost_direct",
-    "advance_column",
+    "cost_columns",
     "kernseg_exact",
     "naive_dp",
     "backtrack",

@@ -1,9 +1,10 @@
 """Exact kernel segmentation by dynamic programming.
 
 Segment costs are RKHS within-segment scatters evaluated through the kernel
-trick. The segmenter runs a single left-to-right sweep, rebuilding one cost
-column per step from an O(n) recurrence, so peak memory is O(Dmax * n) and
-no n-by-n structure is ever materialized.
+trick. The segmenter runs a single left-to-right sweep: one generator,
+:func:`cost_columns`, rebuilds one cost column per step from an O(n)
+recurrence, and the minimiser consumes each column as it comes, so peak
+memory is O(Dmax * n) and no n-by-n structure is ever materialized.
 
 Index conventions: Python-facing segment arguments are 0-based half-open
 pairs (start, end); reported change points in :class:`Segmentation` are
@@ -14,8 +15,8 @@ s + 1 and a full signal of length n is the segment [0, n) == {1, .., n}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,10 +26,9 @@ from .kernels import KernelSpec, Signal, as_signal
 
 __all__ = [
     "Segmentation",
-    "CostColumnState",
     "DPResult",
     "segment_cost_direct",
-    "advance_column",
+    "cost_columns",
     "kernseg_exact",
     "naive_dp",
     "backtrack",
@@ -105,120 +105,70 @@ def segment_cost_direct(signal, spec: KernelSpec, start: int, end: int) -> float
     return float(np.trace(block) - block.sum() / (end - start))
 
 
-@dataclass
-class CostColumnState:
-    """Iterative state giving every segment cost with right boundary ``end``.
+def cost_columns(signal: Signal, spec: KernelSpec, diag: np.ndarray,
+                 ell: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(e, column)`` for e = ell..n, ``column[s]`` = C(s, e) for s = 0..e-ell.
 
-    For i < end the state holds
+    ``diag`` is k(X_i, X_i) as contiguous float64. For i < e the recurrence
+    holds
 
-        A[i] = -k(X_i, X_i) + 2 * sum_{j=i}^{end-1} k(X_i, X_j),
+        A[i] = -k(X_i, X_i) + 2 * sum_{j=i}^{e-1} k(X_i, X_j),
 
-    updated with a Kahan compensation array ``comp`` carried alongside, and
-    ``diag[i]`` = k(X_i, X_i), so that the cost of a segment [s, end) is
+    updated with a Kahan compensation array carried alongside, so that
 
-        cost(s, end) = sum_{i=s}^{end-1} diag[i] - (sum_{i=s}^{end-1} A[i]) / (end - s),
+        C(s, e) = sum_{i=s}^{e-1} diag[i] - (sum_{i=s}^{e-1} A[i]) / (e - s),
 
-    and suffix sums of both arrays give every cost in one right-to-left
-    sweep. :func:`kernseg_exact` runs on this state.
+    and suffix sums of both arrays give a whole column in one right-to-left
+    sweep: O(e) kernel evaluations a column and O(n) memory in all. Every
+    column is a view of one scratch of n + 1 floats that the next step
+    overwrites. Raises ValueError if a column is not finite.
     """
-
-    signal: Signal
-    spec: KernelSpec
-    end: int
-    A: np.ndarray
-    comp: np.ndarray
-    diag: np.ndarray
-    _column_fn: object = field(repr=False, default=None)
-    # scratch of n + 1 floats, as kernseg_table_bytes counts it: the kernel
-    # column in ``advance``, then the cost column when the sweep passes it
-    # as ``out``
-    _buf: np.ndarray = field(repr=False, default=None)
+    n = signal.n
+    A, comp = np.zeros(n), np.zeros(n)
+    A[0] = diag[0]
+    column_fn = spec.prefix_column_fn(signal.data)
+    # the kernel column of each step, then the cost column it yields
+    buf = np.empty(n + 1)
     # diag is 1.0 everywhere (Gaussian, Laplace): its suffix sums are the
-    # segment lengths, exact integers, so cost_column need not form them
-    _unit_diag: bool = field(repr=False, default=False)
-
-    @classmethod
-    def initial(cls, signal, spec: KernelSpec) -> "CostColumnState":
-        """State for end = 1 (the single segment [0, 1))."""
-        sig = as_signal(signal)
-        spec.check_dim(sig.q)
-        n = sig.n
-        A = np.zeros(n)
-        diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
-        A[0] = diag[0]
-        return cls(
-            signal=sig,
-            spec=spec,
-            end=1,
-            A=A,
-            comp=np.zeros(n),
-            diag=diag,
-            _column_fn=spec.prefix_column_fn(sig.data),
-            _buf=np.empty(n + 1),
-            _unit_diag=bool((diag == 1.0).all()),
-        )
-
-    def advance(self) -> "CostColumnState":
-        """Advance to end + 1 in place, returning self.
-
-        Adds 2 k(X_i, X_end) to A[i] for all i < end, compensated, and
-        starts the new entry at its self-similarity value. O(end) kernel
-        evaluations.
-        """
-        e = self.end
-        if e >= self.signal.n:
-            raise IndexError(f"state already at the last column (end={e})")
-        A, comp = self.A, self.comp
-        # Kahan step y = 2 k - comp, t = A + y, comp' = (t - A) - y, A' = t,
-        # in place: y in the kernel column's scratch, t in comp and comp' in
-        # A, then the two arrays swap names
-        self._column_fn(e, self._buf)
-        y = self._buf[:e]
-        y *= 2.0
-        y -= comp[:e]
-        t = np.add(A[:e], y, out=comp[:e])
-        c = np.subtract(t, A[:e], out=A[:e])
-        c -= y
-        self.A, self.comp = comp, A
-        self.A[e] = self.diag[e]
-        self.comp[e] = 0.0
-        self.end = e + 1
-        return self
-
-    def cost_column(self, ell: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-        """Costs of [s, end) for s = 0..end-ell, as a vector.
-
-        When given, ``out`` must hold at least ``end`` floats: it receives
-        the suffix sums of A first, and the result is a view of it.
-        """
-        e = self.end
-        if out is None:
-            out = np.empty(e)
-        elif out.shape[0] < e:
-            raise ValueError(f"cost column buffer holds {out.shape[0]} floats, needs end={e}")
-        hi = e - ell + 1
-        if hi <= 0:
-            return np.empty(0)
+    # segment lengths, exact integers, and need not be formed
+    unit_diag = bool((diag == 1.0).all())
+    for e in range(1, n + 1):
+        if e >= 2:
+            # Kahan step y = 2 k - comp, t = A + y, comp' = (t - A) - y,
+            # A' = t, in place: y in the scratch, t in comp and comp' in A,
+            # then the two arrays swap names
+            j = e - 1
+            column_fn(j, buf)
+            y = buf[:j]
+            y *= 2.0
+            y -= comp[:j]
+            t = np.add(A[:j], y, out=comp[:j])
+            c = np.subtract(t, A[:j], out=A[:j])
+            c -= y
+            A, comp = comp, A
+            A[j] = diag[j]
+            comp[j] = 0.0
+        if e < ell:
+            continue
         # suffix sums are accumulated right to left so short segments never
         # difference large running totals
-        np.cumsum(self.A[e - 1 :: -1], out=out[e - 1 :: -1])
+        hi = e - ell + 1
+        np.cumsum(A[e - 1 :: -1], out=buf[e - 1 :: -1])
         lens = np.arange(e, e - hi, -1, dtype=np.float64)
-        col = out[:hi]
+        col = buf[:hi]
         col /= lens
-        if self._unit_diag:
-            return np.subtract(lens, col, out=col)
-        acc_d = np.cumsum(self.diag[e - 1 :: -1])
-        return np.subtract(acc_d[e - hi : e][::-1], col, out=col)
-
-    def cost(self, start: int) -> float:
-        """Cost of the single segment [start, end)."""
-        _validate_range(self.signal.n, start, self.end)
-        return float(self.cost_column()[start])
-
-
-def advance_column(state: CostColumnState) -> CostColumnState:
-    """Advance a cost-column state by one position (in place)."""
-    return state.advance()
+        if unit_diag:
+            np.subtract(lens, col, out=col)
+        else:
+            np.subtract(np.cumsum(diag[e - 1 :: -1])[e - hi : e][::-1], col, out=col)
+        # the minimiser runs while this frame waits at the yield, so the
+        # column's temporary goes first
+        del lens
+        # C(0, e) sums every A[:e] and diag[:e], so a non-finite value
+        # anywhere shows in it
+        if not math.isfinite(col[0]):
+            raise overflow_error(spec, f"segment cost at column {e}")
+        yield e, col
 
 
 class DPResult:
@@ -295,14 +245,13 @@ def overflow_error(spec: KernelSpec, what: str) -> ValueError:
 def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult:
     """Optimal segmentations for every D = 1..dmax under a length floor.
 
-    Runs the column recurrence of :class:`CostColumnState` and the
-    dynamic-programming update in one sweep: O(dmax * n^2) time, most of
-    it in the minimisation over candidate starts rather than in kernel
-    evaluations, and O(dmax * n) memory. ``ell`` is the minimum
-    number of points per segment. For a kernel with ``psd`` set, the
-    minimiser drops candidate starts that provably cannot win (SNIP
-    pruning); the tables are bitwise those of the dense minimisation
-    either way.
+    Feeds each column of :func:`cost_columns` to the dynamic-programming
+    update in one sweep: O(dmax * n^2) time, most of it in the minimisation
+    over candidate starts rather than in kernel evaluations, and
+    O(dmax * n) memory. ``ell`` is the minimum number of points per
+    segment. For a kernel with ``psd`` set, the minimiser drops candidate
+    starts that provably cannot win (SNIP pruning); the tables are bitwise
+    those of the dense minimisation either way.
 
     Raises ValueError if the kernel yields non-finite segment costs.
     """
@@ -315,21 +264,12 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
 
     # an overflowing kernel trips numpy warnings on its way to the
-    # non-finite cost that the guard below reports
+    # non-finite cost that cost_columns reports
     with np.errstate(over="ignore", invalid="ignore"):
-        state = CostColumnState.initial(sig, spec)
-        snip = _dp_core.Snip(n, dmax, float(state.diag.sum()), spec.psd)
-        for e in range(1, n + 1):
-            if e >= 2:
-                state.advance()
-            if e < ell:
-                continue
-            # cost(0, e) sums every A[:e] and diag[:e], so a non-finite
-            # value anywhere shows in it
-            cbuf = state.cost_column(ell, state._buf)
-            if not math.isfinite(cbuf[0]):
-                raise overflow_error(spec, f"segment cost at column {e}")
-            _dp_core.column_step(L, back, cbuf, e, ell, dmax, snip)
+        diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
+        snip = _dp_core.Snip(n, dmax, float(diag.sum()), spec.psd)
+        for e, col in cost_columns(sig, spec, diag, ell):
+            _dp_core.column_step(L, back, col, e, ell, dmax, snip)
 
     table_numbers = kernseg_table_bytes(n, dmax, spec.psd) / 8.0
     return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)
@@ -338,11 +278,12 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
 def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     """Bytes :func:`kernseg_exact` allocates for its persistent tables.
 
-    L and back, the column state A, comp and diag, the scratch column, and
-    the minimiser's dense row buffer of n + 1 floats (when dmax > 2) or, for
-    a PSD kernel, the larger of that row and the pruning lists at their cap,
-    as a sweep never holds both. A list entry counts 30 bytes: the 13 it
-    holds and the 17 of temporaries a scan or compaction holds beside it."""
+    L and back; the diagonal, and :func:`cost_columns`' A and comp, of n
+    floats each; its scratch column of n + 1; and the minimiser's dense row
+    buffer of n + 1 floats (when dmax > 2) or, for a PSD kernel, the larger
+    of that row and the pruning lists at their cap, as a sweep never holds
+    both. A list entry counts 30 bytes: the 13 it holds and the 17 of
+    temporaries a scan or compaction holds beside it."""
     back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser
@@ -387,7 +328,12 @@ def naive_dp(signal, spec: KernelSpec, dmax: int, max_n: int = NAIVE_DEFAULT_CAP
     check_feasible(n, dmax, 1)
     spec.check_dim(sig.q)
 
-    C = _direct_cost_table(sig, spec)
+    # as in kernseg_exact, an overflowing kernel ends in its error, not in
+    # numpy warnings or NaN losses
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _direct_cost_table(sig, spec)
+    if not np.isfinite(C).all():
+        raise overflow_error(spec, "segment cost table")
     L = np.full((dmax, n + 1), BIG)
     back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
     L[0, 1:] = C[0, 1:]

@@ -160,9 +160,11 @@ class KernelSpec:
     def prefix_column_fn(self, X: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """Return f(j, out) writing k(X[j], X[:j]) into out[:j].
 
-        The closure is the workhorse of the exact segmenter and must not
-        allocate per call beyond small temporaries. An override may
-        precompute per-signal terms, and must give ``_gram``'s values.
+        The closure is the workhorse of the exact segmenter: each step of
+        :func:`kcpd.exact_dp.cost_columns` calls it once, writing into the
+        generator's scratch column, so it must not allocate per call
+        beyond small temporaries. An override may precompute per-signal
+        terms, and must give ``_gram``'s values.
         """
         gram = self._gram
 

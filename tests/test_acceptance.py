@@ -22,8 +22,7 @@ from kcpd import (
     Signal,
     SumKernel,
     count_segmentations,
-    CostColumnState,
-    advance_column,
+    cost_columns,
     best_split,
     binary_segmentation,
     empirical_mmd_sq,
@@ -118,11 +117,8 @@ def test_criterion_03_column_recurrence_correctness(report):
         n = int(rng.integers(20, 301))
         sig = Signal(random_signal(rng, n))
         C = direct_cost_matrix(sig, spec)
-        state = CostColumnState.initial(sig, spec)
-        for e in range(1, n + 1):
-            if e > 1:
-                advance_column(state)
-            col = state.cost_column()
+        diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
+        for e, col in cost_columns(sig, spec, diag, 1):
             scale = np.maximum(np.maximum(np.abs(col), np.abs(C[:e, e])), 1e-9)
             worst = max(worst, float((np.abs(col - C[:e, e]) / scale).max()))
         assert worst <= 1e-8, trial

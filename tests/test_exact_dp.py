@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpd import (
-    CostColumnState,
     EnergyKernel,
     ExponentialKernel,
     GaussianKernel,
@@ -20,8 +19,8 @@ from kcpd import (
     Segmentation,
     Signal,
     SumKernel,
-    advance_column,
     backtrack,
+    cost_columns,
     kernseg_exact,
     naive_dp,
     segment_cost_direct,
@@ -85,66 +84,70 @@ def _rel_err(a, b):
     return np.abs(a - b) / scale
 
 
+def _columns(sig, spec, ell=1):
+    diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
+    return cost_columns(sig, spec, diag, ell)
+
+
 def test_column_state_matches_direct_costs(rng):
     for spec in KERNELS:
         n = int(rng.integers(20, 60))
         sig = Signal(random_signal(rng, n, q=2))
         C = direct_cost_matrix(sig, spec)
-        state = CostColumnState.initial(sig, spec)
-        for e in range(1, n + 1):
-            if e > 1:
-                advance_column(state)
-            col = state.cost_column()
+        for e, col in _columns(sig, spec):
             assert col.shape == (e,)
             assert _rel_err(col, C[:e, e]).max() <= 1e-8
-            # the state and the sweep share one recurrence, bit for bit
+            # the generator and the sweep share one recurrence, bit for bit
             assert col[0] == kernseg_exact(Signal(sig.data[:e]), spec, 1).loss(1)
+        assert e == n
 
 
 def test_column_state_constant_signal_zero_costs():
     sig = Signal(np.full(25, 3.25))
-    state = CostColumnState.initial(sig, LinearKernel())
-    for e in range(1, 26):
-        if e > 1:
-            advance_column(state)
-        np.testing.assert_allclose(state.cost_column(), 0.0, atol=1e-10)
+    for _, col in _columns(sig, LinearKernel()):
+        np.testing.assert_allclose(col, 0.0, atol=1e-10)
 
 
 def test_column_state_two_points_identity(rng):
     for spec in KERNELS:
         x = rng.normal(size=(2, 1))
-        sig = Signal(x)
         k11 = spec.pair(x[0], x[0])
         k22 = spec.pair(x[1], x[1])
         k12 = spec.pair(x[0], x[1])
-        state = CostColumnState.initial(sig, spec)
-        advance_column(state)
+        (_, col), = _columns(Signal(x), spec, 2)
         want = k11 + k22 - 0.5 * (k11 + k22 + 2 * k12)
-        assert state.cost(0) == pytest.approx(want, abs=1e-12)
+        assert col[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_column_state_single_point_cost_is_exactly_zero(rng):
     sig = Signal(rng.normal(size=40))
-    state = CostColumnState.initial(sig, GaussianKernel(1.0))
-    for e in range(1, 41):
-        if e > 1:
-            advance_column(state)
-        assert state.cost_column()[e - 1] == 0.0
+    for e, col in _columns(sig, GaussianKernel(1.0)):
+        assert col[e - 1] == 0.0
 
 
-def test_advance_past_end_rejected():
-    state = CostColumnState.initial(Signal([1.0, 2.0]), LinearKernel())
-    advance_column(state)
-    with pytest.raises(IndexError):
-        advance_column(state)
+def test_cost_columns_are_views_of_one_scratch(rng):
+    n = 40
+    sig = Signal(random_signal(rng, n, q=2))
+    for spec in KERNELS:
+        for ell in (1, 3):
+            scratch = None
+            for e, col in _columns(sig, spec, ell):
+                scratch = col.base if scratch is None else scratch
+                assert col.base is scratch
+                assert col.ctypes.data == scratch.ctypes.data and col.shape == (e - ell + 1,)
+            assert scratch.shape == (n + 1,) and scratch.dtype == np.float64
 
 
-def _reference_advance(A, comp, diag, kcol, e):
-    # the compensated update in its plain form, with temporaries
-    y = 2.0 * kcol[:e] - comp[:e]
-    t = A[:e] + y
-    comp[:e] = (t - A[:e]) - y
-    A[:e] = t
+def _reference_advance(A, comp, diag, kcol, e, compensate=True):
+    # the update in its plain form, with temporaries; compensated unless
+    # the Kahan step's effect is under test
+    if compensate:
+        y = 2.0 * kcol[:e] - comp[:e]
+        t = A[:e] + y
+        comp[:e] = (t - A[:e]) - y
+        A[:e] = t
+    else:
+        A[:e] += 2.0 * kcol[:e]
     A[e], comp[e] = diag[e], 0.0
 
 
@@ -154,6 +157,20 @@ def _reference_cost_column(A, diag, e, ell):
     acc_d = np.cumsum(diag[e - 1 :: -1])
     lens = np.arange(e, e - hi, -1, dtype=np.float64)
     return acc_d[e - hi : e][::-1] - acc_a[e - hi : e][::-1] / lens
+
+
+def _reference_columns(X, spec, ell, compensate=True):
+    n = len(X)
+    diag = spec.diag(X)
+    A, comp = np.zeros(n), np.zeros(n)
+    A[0] = diag[0]
+    fn, kcol = spec.prefix_column_fn(X), np.empty(n)
+    for e in range(1, n + 1):
+        if e > 1:
+            fn(e - 1, kcol)
+            _reference_advance(A, comp, diag, kcol, e - 1, compensate)
+        if e >= ell:
+            yield e, _reference_cost_column(A, diag, e, ell)
 
 
 @pytest.mark.parametrize("spec, unit", [
@@ -168,31 +185,23 @@ def _reference_cost_column(A, diag, e, ell):
 ])
 def test_column_state_is_bitwise_the_reference_formulas(rng, spec, unit):
     X = random_signal(rng, 50, q=2)
-    state = CostColumnState.initial(Signal(X), spec)
-    assert state._unit_diag is unit
-    diag = spec.diag(X)
-    A, comp = np.zeros(50), np.zeros(50)
-    A[0] = diag[0]
-    fn, kcol = spec.prefix_column_fn(X), np.empty(50)
-    for e in range(1, 51):
-        if e > 1:
-            fn(e - 1, kcol)
-            _reference_advance(A, comp, diag, kcol, e - 1)
-            advance_column(state)
-        assert state.A[:e].tobytes() == A[:e].tobytes()
-        assert state.comp[:e].tobytes() == comp[:e].tobytes()
-        for ell in range(1, min(5, e) + 1):
-            got = state.cost_column(ell, state._buf)
-            assert got.tobytes() == _reference_cost_column(A, diag, e, ell).tobytes()
+    # both branches of the unit-diagonal shortcut are covered
+    assert bool((spec.diag(X) == 1.0).all()) is unit
+    for ell in range(1, 6):
+        want = _reference_columns(X, spec, ell)
+        for (e, got), (e_ref, ref) in zip(_columns(Signal(X), spec, ell), want, strict=True):
+            assert e == e_ref
+            assert got.tobytes() == ref.tobytes()
 
 
-def test_cost_column_needs_end_floats():
-    state = CostColumnState.initial(Signal(np.arange(6.0)), GaussianKernel(1.0))
-    for _ in range(4):
-        advance_column(state)
-    assert state.cost_column(1, np.empty(5)).shape == (5,)
-    with pytest.raises(ValueError, match="holds 4 floats, needs end=5"):
-        state.cost_column(1, np.empty(4))
+def test_kahan_compensation_is_pinned():
+    # on this input an uncompensated A += 2 k rounds differently from
+    # column 4 on; the generator yields the compensated columns
+    X = np.arange(8.0).reshape(-1, 1) / 4
+    spec = GaussianKernel(1.0)
+    got = [col.tobytes() for _, col in _columns(Signal(X), spec)]
+    assert got == [c.tobytes() for _, c in _reference_columns(X, spec, 1)]
+    assert got != [c.tobytes() for _, c in _reference_columns(X, spec, 1, compensate=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -776,3 +785,11 @@ def test_overflowing_kernel_raises():
     x = np.tile([30.0, -30.0], 50)
     with pytest.raises(ValueError, match=r"ExponentialKernel\(delta=1\.0\).*column 2\b"):
         kernseg_exact(Signal(x), ExponentialKernel(1.0), dmax=5)
+
+
+@pytest.mark.parametrize("engine", [kernseg_exact, naive_dp])
+def test_both_engines_reject_an_overflowing_linear_kernel(engine):
+    # k(x, x) = 1e400 overflows; no NaN loss and no numpy warning escapes
+    sig = Signal([1e200, -1e200, 3e200, 2e200])
+    with pytest.raises(ValueError, match=r"LinearKernel\(\) gives a non-finite segment cost"):
+        engine(sig, LinearKernel(), 2)
