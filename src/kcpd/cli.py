@@ -34,7 +34,7 @@ from .kernels import (
     mad_scale,
 )
 from .lowrank import binary_segmentation, embedding_table_bytes, nystrom_embed
-from .model_selection import PenaltySpec, select, slope_heuristic
+from .model_selection import PenaltySpec, check_slope_dmax, select, slope_heuristic
 from .simulate import FoldedPiece, NormalPiece, equally_spaced_changes, generate
 
 __all__ = ["main", "run_segment", "run_bench", "load_csv", "save_csv"]
@@ -240,6 +240,9 @@ def run_segment(
         # with Dmax and the floor both at least 1, the signal is too short for them
         hint = "; lower --dmax or --min-seg-len" if min(dmax, ell) >= 1 else ""
         raise InfeasibleError(f"{exc}{hint}") from exc
+    if c1 is None:
+        # the slope fit's own refusal, before the engine runs for nothing
+        check_slope_dmax(dmax)
 
     if scale:
         try:

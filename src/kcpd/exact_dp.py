@@ -109,8 +109,8 @@ def cost_columns(signal: Signal, spec: KernelSpec, diag: np.ndarray,
                  ell: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(e, column)`` for e = ell..n, ``column[s]`` = C(s, e) for s = 0..e-ell.
 
-    ``diag`` is k(X_i, X_i) as contiguous float64. For i < e the recurrence
-    holds
+    ``diag`` is k(X_i, X_i) as float64, an array or a read-only view. For
+    i < e the recurrence holds
 
         A[i] = -k(X_i, X_i) + 2 * sum_{j=i}^{e-1} k(X_i, X_j),
 
@@ -266,7 +266,8 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     # an overflowing kernel trips numpy warnings on its way to the
     # non-finite cost that cost_columns reports
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
+        # a unit diagonal stays the kernel's read-only view: no n floats
+        diag = spec.diag(sig.data)
         snip = _dp_core.Snip(n, dmax, float(diag.sum()), spec.psd)
         for e, col in cost_columns(sig, spec, diag, ell):
             _dp_core.column_step(L, back, col, e, ell, dmax, snip)
@@ -279,7 +280,9 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     """Bytes :func:`kernseg_exact` allocates for its persistent tables.
 
     L and back; the diagonal, and :func:`cost_columns`' A and comp, of n
-    floats each; its scratch column of n + 1; and the minimiser's dense row
+    floats each (a unit diagonal is a view that holds none, so for Gaussian
+    and Laplace kernels the count is a bound); its scratch column of
+    n + 1; and the minimiser's dense row
     buffer of n + 1 floats (when dmax > 2) or, for a PSD kernel, the larger
     of that row and the pruning lists at their cap, as a sweep never holds
     both. A list entry counts 30 bytes: the 13 it holds and the 17 of

@@ -138,7 +138,7 @@ class KernelSpec:
         """Raise ValueError if the kernel cannot act on q-vectors."""
 
     def diag(self, X: np.ndarray) -> np.ndarray:
-        """Vector of k(X[i], X[i])."""
+        """Vector of k(X[i], X[i]), float64; it may be a read-only view."""
         raise NotImplementedError
 
     def _gram(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -218,7 +218,8 @@ class _Radial(_Bandwidth):
         return math.exp(-(math.sqrt(r) if self._root else r) / self.delta)
 
     def diag(self, X):
-        return np.ones(X.shape[0])
+        # every k(x, x) is 1: a read-only view of one float, not n of them
+        return np.broadcast_to(1.0, X.shape[:1])
 
     def _gram(self, X, Y, out):
         return self._exp(_sq_dists(X, Y, out))

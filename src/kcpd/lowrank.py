@@ -6,9 +6,10 @@ as K~ = Z' Z with Z of shape (p', n), p' = p minus the eigenvalues dropped
 by the pseudo-inverse cutoff. Columns of Z act as finite-dimensional
 stand-ins for the observations, so segment costs become O(p') prefix-sum
 queries and the greedy splitter runs in O(p' n log Dmax) overall. Z is
-never held whole: the embedding makes it in passes of columns and keeps
-only its prefix sums, (p' + 2)(n + 1) floats, plus one pass's blocks
-while it runs.
+never held whole, not even a block of it: the embedding writes each
+block of features straight into the prefix-sum array and sums it there,
+so it holds only the prefix sums, (p' + 2)(n + 1) floats, plus one
+p x 4096 landmark Gram block while it runs.
 """
 
 from __future__ import annotations
@@ -38,16 +39,25 @@ EIG_DROP = 1e-10
 
 
 # columns per pass of nystrom_embed and per chunk of a best_split scan.
-# Only the prefix sums span all n points; a pass holds one K(J, X) block of
-# p x _EMBED_COLS and its features, and a scan chunk a few vectors of this
-# length. Inputs of at most this many points are one pass, so their
-# features are the one full-width product. Longer inputs get one product
-# per pass: BLAS rounds a pass's product bitwise like the full-width one at
+# Only the prefix sums span all n points; a scan chunk holds a few vectors
+# of this length. BLAS rounds a product bitwise like the full-width one at
 # widths 1024 to 16384, but a last pass of 1 or 3 columns (a 1-column
 # product goes to gemv) or an odd width can differ in the last bits of a
 # few columns, so for n > _EMBED_COLS the passes are the definition, and
 # likewise the chunk grid of a split scan.
 _EMBED_COLS = 16384
+
+# columns per landmark Gram block within a pass. A pass is made in blocks
+# of this width, the last absorbing any remainder below it, so a block is
+# narrower than this only when its whole pass is, and the blocks give the
+# bits of one product per pass. The block, p x _GRAM_COLS floats, is the
+# embedding's one temporary. At n = 5e5, p = 100 (rank 47, 2-core x86-64)
+# the traced peak above the kept arrays was 9.2 MB at 16384 columns,
+# 2.8 MB at 8192 and 0.04 MB from 4096 down, where the block (3.3 MB) is
+# smaller than the last prefix array, made after the passes. Narrower
+# blocks save nothing more and cost calls: the embedding took about
+# 0.31 s at 16384, 0.32-0.34 s at 4096 and 0.34 s at 2048 and 1024.
+_GRAM_COLS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,11 +70,22 @@ class _BlockMap:
     proj: np.ndarray
 
 
-def _features(maps: tuple[_BlockMap, ...], X: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Feature columns a..b-1, the blocks' rows stacked in order."""
-    parts = [m.proj @ m.spec.gram(m.landmarks, X[a:b] if m.cols is None else X[a:b, m.cols])
-             for m in maps]
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
+def _gram_blocks(n: int):
+    """Column ranges (a, b) of the Gram blocks, pass by pass."""
+    for a in range(0, n, _EMBED_COLS):
+        b = min(a + _EMBED_COLS, n)
+        edges = [a + i * _GRAM_COLS for i in range(max(1, (b - a) // _GRAM_COLS))] + [b]
+        yield from zip(edges, edges[1:])
+
+
+def _features(maps: tuple[_BlockMap, ...], X: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """Write feature columns a..b-1 into ``out``, the blocks' rows stacked in order."""
+    r = 0
+    for m in maps:
+        G = m.spec.gram(m.landmarks, X[a:b] if m.cols is None else X[a:b, m.cols])
+        np.matmul(m.proj, G, out=out[r : r + len(m.proj)])
+        del G  # before the next map's
+        r += len(m.proj)
 
 
 @dataclass(frozen=True)
@@ -106,9 +127,11 @@ class Embedding:
 
     @property
     def Z(self) -> np.ndarray:
-        """Feature matrix (rank x n), recomputed pass by pass as embedded."""
-        return np.hstack([_features(self.maps, self.data, a, min(a + _EMBED_COLS, self.n))
-                          for a in range(0, self.n, _EMBED_COLS)])
+        """Feature matrix (rank x n), recomputed block by block as embedded."""
+        Z = np.empty((self.rank, self.n))
+        for a, b in _gram_blocks(self.n):
+            _features(self.maps, self.data, a, b, Z[:, a:b])
+        return Z
 
     def approx_gram(self, idx=None) -> np.ndarray:
         """Entries of K~ = Z' Z, on all points or on a subset of indices."""
@@ -162,8 +185,10 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
     (recorded as None). Sum kernels embed each coordinate block
     independently and stack the features, since inner products add.
 
-    The features are made and summed in passes of _EMBED_COLS points, so
-    memory beyond the (rank + 2)(n + 1) floats kept is one pass's blocks.
+    The features are made in passes of _EMBED_COLS points, each in blocks
+    of _GRAM_COLS written straight into the prefix sums and summed there,
+    so memory beyond the (rank + 2)(n + 1) floats kept is one p x
+    _GRAM_COLS Gram block.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
@@ -204,17 +229,18 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         maps = tuple(maps)
         prefix = np.zeros((sum(len(m.proj) for m in maps), n + 1))
         sqnorm = np.zeros(n + 1)
-        for a in range(0, n, _EMBED_COLS):
-            b = min(a + _EMBED_COLS, n)
-            z = _features(maps, X, a, b)
-            sqnorm[a + 1 : b + 1] = np.einsum("ij,ij->j", z, z)
-            # numpy's axis cumsum is sequential: adding the sum so far to the
-            # first column is the running sum's next step, so the passes give
-            # one cumsum's bits without a copy of the pass
+        for a, b in _gram_blocks(n):
+            # each block's features go straight into their prefix columns and
+            # are summed there: their squared norms, then the running sums.
+            # numpy's axis cumsum is sequential, so adding the sum so far to
+            # the first column is the running sum's next step, and the blocks
+            # give one cumsum's bits
+            z = prefix[:, a + 1 : b + 1]
+            _features(maps, X, a, b, z)
+            np.einsum("ij,ij->j", z, z, out=sqnorm[a + 1 : b + 1])
             if a:
                 z[:, 0] += prefix[:, a]
-            np.cumsum(z, axis=1, out=prefix[:, a + 1 : b + 1])
-            del z  # before the next pass's Gram block
+            np.cumsum(z, axis=1, out=z)
         np.cumsum(sqnorm[1:], out=sqnorm[1:])
         if not math.isfinite(sqnorm[-1]):
             raise overflow_error(spec, "embedding")

@@ -96,6 +96,15 @@ class SlopeFit:
     combined_fallback: bool
 
 
+def check_slope_dmax(dmax: int) -> None:
+    """Raise ValueError unless a loss curve of dmax values can be slope-fitted."""
+    if dmax < MIN_DMAX_FOR_SLOPE:
+        raise ValueError(
+            f"slope calibration needs Dmax >= {MIN_DMAX_FOR_SLOPE} loss values, got {dmax}; "
+            "supply (c1, c2) explicitly instead"
+        )
+
+
 def slope_heuristic(losses: Sequence[float], n: int, ell: int = 1) -> SlopeFit:
     """Calibrate (c1, c2) from the loss curve.
 
@@ -108,11 +117,7 @@ def slope_heuristic(losses: Sequence[float], n: int, ell: int = 1) -> SlopeFit:
     """
     losses = np.asarray(losses, dtype=np.float64)
     dmax = losses.shape[0]
-    if dmax < MIN_DMAX_FOR_SLOPE:
-        raise ValueError(
-            f"slope calibration needs Dmax >= {MIN_DMAX_FOR_SLOPE} loss values, got {dmax}; "
-            "supply (c1, c2) explicitly instead"
-        )
+    check_slope_dmax(dmax)
     lo = math.ceil(dmax / 2)
     ds = np.arange(lo, dmax + 1)
     if not np.isfinite(losses[lo - 1 :]).all():

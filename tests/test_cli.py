@@ -243,6 +243,28 @@ def test_infeasible_configuration_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_short_dmax_for_the_slope_fit_is_refused_before_the_engine(tmp_path, capsys, monkeypatch,
+                                                                   algorithm):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run scaled or segmented a signal the slope fit refuses")
+
+    monkeypatch.setattr("kcpd.cli.mad_scale", unreached)
+    monkeypatch.setattr("kcpd.cli._solve", unreached)
+    p = _write(tmp_path / "x.csv", "\n".join(str(float(v)) for v in range(40)) + "\n")
+    out = tmp_path / "out.json"
+    rc = main(["segment", "--input", p, "--dmax", "5", "--algorithm", algorithm, "--output", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "error: slope calibration needs Dmax >= 10 loss values, got 5; "
+        "supply (c1, c2) explicitly instead\n")
+    assert not out.exists()
+    # fixed constants need no slope fit, so the same Dmax runs
+    monkeypatch.undo()
+    assert main(["segment", "--input", p, "--dmax", "5", "--algorithm", algorithm,
+                 "--c1", "1", "--c2", "1", "--output", str(out)]) == EXIT_OK
+
+
 # (flags, error message): malformed values a segment run refuses before it reads its input
 _SEGMENT_FLAG_CASES = [
     ("--delta 0", "--delta must be a finite positive number, got 0.0"),
@@ -360,8 +382,9 @@ def test_bad_penalty_constant_is_an_input_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
 def test_overflowing_kernel_exit_code(tmp_path, capsys, algorithm):
+    # Dmax 10 gives the slope fit enough losses, so the engine runs and overflows
     p = _write(tmp_path / "big.csv", "\n".join(["30.0", "-30.0"] * 50) + "\n")
-    rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "5",
+    rc = main(["segment", "--input", p, "--kernel", "exponential", "--no-scale", "--dmax", "10",
                "--algorithm", algorithm])
     assert rc == EXIT_INFEASIBLE
     err = capsys.readouterr().err

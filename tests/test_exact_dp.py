@@ -85,8 +85,8 @@ def _rel_err(a, b):
 
 
 def _columns(sig, spec, ell=1):
-    diag = np.ascontiguousarray(spec.diag(sig.data), dtype=np.float64)
-    return cost_columns(sig, spec, diag, ell)
+    # the diagonal as kernseg_exact passes it, a view for unit diagonals
+    return cost_columns(sig, spec, spec.diag(sig.data), ell)
 
 
 def test_column_state_matches_direct_costs(rng):
@@ -450,6 +450,46 @@ def _allowance(case):
     # column's work, or list mode's block and chunk temporaries)
     sig, spec, dmax, _ = _sweep_case(case)
     return kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+
+
+@pytest.mark.parametrize("spec, q", [(GaussianKernel(1.0), 1), (LaplaceKernel(0.7), 2)],
+                         ids=["gaussian", "laplace-2d"])
+def test_unit_diagonal_sweep_holds_no_diagonal(rng, spec, q):
+    # the unit diagonal is a read-only view of one float with today's values
+    n, dmax = 8000, 4
+    sig = Signal(rng.normal(size=(n, q)) + np.repeat(rng.uniform(-2, 2, (4, q)), n // 4, axis=0))
+    d = spec.diag(sig.data)
+    assert d.dtype == np.float64 and not d.flags.writeable
+    assert d.tobytes() == np.ones(n).tobytes() and float(d.sum()) == float(n)
+    # the same kernel with its diagonal held as n floats: that array lives
+    # through the whole sweep, so it lifts the peak by n floats, and
+    # nothing else changes
+    held = type("Held" + type(spec).__name__, (type(spec),),
+                {"diag": lambda self, X: np.ones(X.shape[0])})(spec.delta)
+    runs = []
+    for s in (spec, held):
+        taus = []
+
+        class Recorded(_dp_core.Snip):
+            def __init__(self, *args):
+                super().__init__(*args)
+                taus.append(self.tau)
+
+        with mock.patch.object(_dp_core, "Snip", Recorded):
+            kernseg_exact(sig, s, dmax)  # first-call allocations stay out
+            tracemalloc.start()
+            try:
+                res = kernseg_exact(sig, s, dmax)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        runs.append((peak, taus[-1], res))
+    (peak, tau, res), (held_peak, held_tau, held_res) = runs
+    assert held_peak - peak >= 6 * n
+    assert tau == held_tau
+    assert res._L.tobytes() == held_res._L.tobytes()
+    assert res._back.tobytes() == held_res._back.tobytes()
+    assert (res.cells_scanned, res.table_numbers) == (held_res.cells_scanned, held_res.table_numbers)
 
 
 @pytest.mark.parametrize(

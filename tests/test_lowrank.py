@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcpd import (
+    EnergyKernel,
     ExponentialKernel,
     GaussianKernel,
     LaplaceKernel,
@@ -195,6 +196,62 @@ def test_embedding_memory_is_the_prefix_sums_plus_one_pass(monkeypatch, rng):
     finally:
         tracemalloc.stop()
     assert peak <= embedding_table_bytes(n, emb.rank) + 2 * 8 * p * _W
+
+
+def _one_product_per_pass(emb):
+    """The three prefix arrays as made with one feature product per pass of
+    _EMBED_COLS columns, summed in a copy of the pass."""
+    X, n = emb.data, emb.n
+    prefix, sqnorm = np.zeros((emb.rank, n + 1)), np.zeros(n + 1)
+    for a in range(0, n, lowrank._EMBED_COLS):
+        b = min(a + lowrank._EMBED_COLS, n)
+        z = np.vstack([m.proj @ m.spec.gram(m.landmarks, X[a:b] if m.cols is None else X[a:b, m.cols])
+                       for m in emb.maps])
+        sqnorm[a + 1 : b + 1] = np.einsum("ij,ij->j", z, z)
+        if a:
+            z[:, 0] += prefix[:, a]
+        np.cumsum(z, axis=1, out=prefix[:, a + 1 : b + 1])
+    np.cumsum(sqnorm[1:], out=sqnorm[1:])
+    return prefix.T, sqnorm, np.einsum("ij,ij->j", prefix, prefix)
+
+
+@pytest.mark.parametrize("n", [4097, 8193, 12345, 16383, 16385, 20001, 33333, 50001])
+def test_gram_blocks_give_the_bits_of_one_product_per_pass(rng, n):
+    # each pass is made in blocks of _GRAM_COLS written into the prefix
+    # sums; its bits are those of the pass's one product, remainders and
+    # short last passes included
+    assert (lowrank._EMBED_COLS, lowrank._GRAM_COLS) == (16384, 4096)
+    x = rng.normal(size=(n, 2))
+    x[n // 3 :] += 1.5
+    one, two = Signal(x[:, :1]), Signal(x)
+    cases = [
+        (one, GaussianKernel(1.0), "grid"),
+        (two, LaplaceKernel(1.0), "stride"),
+        (one, EnergyKernel(), None),
+        (two, SumKernel.per_coordinate([GaussianKernel(1.0), LaplaceKernel(2.0)]), None),
+    ]
+    for sig, spec, rule in cases:
+        emb = nystrom_embed(sig, spec, p=60, rule=rule)
+        got = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
+        for a, b in zip(got, _one_product_per_pass(emb), strict=True):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_embedding_holds_one_gram_block_and_no_features(rng):
+    # at the real widths a pass's K(J, X) alone is p x 16384 floats and its
+    # features rank x 16384; the embedding holds one p x 4096 Gram block
+    # and writes the features into the prefix sums
+    n, p = 50000, 100
+    sig = Signal(rng.normal(size=n))
+    spec = GaussianKernel(1.0)
+    nystrom_embed(sig, spec, p=p, rule="grid")  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        emb = nystrom_embed(sig, spec, p=p, rule="grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= embedding_table_bytes(n, emb.rank) + 8 * p * lowrank._GRAM_COLS + 4 * 8 * 4096
 
 
 def test_default_rule_is_stride_for_multivariate_signals(rng):
