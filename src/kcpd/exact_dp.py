@@ -281,12 +281,12 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
 
     L and back; the diagonal, and :func:`cost_columns`' A and comp, of n
     floats each (a unit diagonal is a view that holds none, so for Gaussian
-    and Laplace kernels the count is a bound); its scratch column of
-    n + 1; and the minimiser's dense row
-    buffer of n + 1 floats (when dmax > 2) or, for a PSD kernel, the larger
-    of that row and the pruning lists at their cap, as a sweep never holds
-    both. A list entry counts 30 bytes: the 13 it holds and the 17 of
-    temporaries a scan or compaction holds beside it."""
+    and Laplace kernels the count is a bound); its scratch column of n + 1;
+    and the minimiser's dense row buffer of n + 1 floats (when dmax > 2)
+    or, for a PSD kernel, the larger of that row and the pruning lists at
+    their cap, as a sweep never holds both. A list entry counts 30 bytes:
+    the 13 it holds and the 17 of temporaries a scan or compaction holds
+    beside it."""
     back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser
