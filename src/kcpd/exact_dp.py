@@ -228,12 +228,17 @@ def check_feasible(n: int, dmax: int, ell: int) -> None:
     """Raise ValueError unless dmax segments of at least ell points fit in n."""
     if dmax < 1:
         raise ValueError(f"Dmax must be at least 1, got {dmax}")
-    if ell < 1:
-        raise ValueError(f"minimum segment length must be at least 1, got {ell}")
+    check_length_floor(ell)
     if dmax * ell > n:
         raise ValueError(
             f"infeasible: {dmax} segments of length >= {ell} need {dmax * ell} points, signal has {n}"
         )
+
+
+def check_length_floor(ell: int) -> None:
+    """Raise ValueError unless the minimum segment length ``ell`` is at least 1."""
+    if ell < 1:
+        raise ValueError(f"minimum segment length must be at least 1, got {ell}")
 
 
 def overflow_error(spec: KernelSpec, what: str) -> ValueError:

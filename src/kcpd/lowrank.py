@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact_dp import Segmentation, _validate_range, check_feasible, overflow_error
+from .exact_dp import Segmentation, _validate_range, check_feasible, check_length_floor, overflow_error
 from .kernels import KernelSpec, SumKernel, as_signal
 
 __all__ = [
@@ -38,25 +38,22 @@ __all__ = [
 EIG_DROP = 1e-10
 
 
-# columns per pass of nystrom_embed and per chunk of a best_split scan.
-# Only the prefix sums span all n points; a scan chunk holds a few vectors
-# of this length. BLAS rounds a product bitwise like the full-width one at
-# widths 1024 to 16384, but a last pass of 1 or 3 columns (a 1-column
-# product goes to gemv) or an odd width can differ in the last bits of a
-# few columns, so for n > _EMBED_COLS the passes are the definition, and
-# likewise the chunk grid of a split scan.
-_EMBED_COLS = 16384
+# columns per chunk of a best_split scan, which holds a few vectors of this
+# length. The chunk grid is part of the definition: in 120 random ranges,
+# chunked (2 x rank) products differed from one full-width product in 38,
+# and in 6 with the last chunk absorbing the remainder. At 4096 columns
+# lowrank-500k's segment took 1.19-1.58 s against 1.03-1.23 s (three
+# alternated runs, 2-core x86-64) to save 0.6 MB of its 217 MB peak.
+_SPLIT_COLS = 16384
 
-# columns per landmark Gram block within a pass. A pass is made in blocks
-# of this width, the last absorbing any remainder below it, so a block is
-# narrower than this only when its whole pass is, and the blocks give the
-# bits of one product per pass. The block, p x _GRAM_COLS floats, is the
-# embedding's one temporary. At n = 5e5, p = 100 (rank 47, 2-core x86-64)
-# the traced peak above the kept arrays was 9.2 MB at 16384 columns,
-# 2.8 MB at 8192 and 0.04 MB from 4096 down, where the block (3.3 MB) is
-# smaller than the last prefix array, made after the passes. Narrower
-# blocks save nothing more and cost calls: the embedding took about
-# 0.31 s at 16384, 0.32-0.34 s at 4096 and 0.34 s at 2048 and 1024.
+# columns per landmark Gram block, the embedding's one temporary (p x this).
+# A remainder below half a block joins the last half-block, so all blocks
+# but the last are multiples of 2048 wide and BLAS rounds each column as in
+# one full-width product, except that OpenBLAS's small-matrix kernel
+# (AVX-512, at most 1e6 multiply-adds) can round a narrow last block's last
+# columns differently at rank * p below about 490. At n = 5e5, p = 100 the
+# traced peak above the kept arrays was 9.2 MB at 16384 columns and 0.04 MB
+# from 4096 down, for 0.31 s against 0.32-0.34 s (2-core x86-64).
 _GRAM_COLS = 4096
 
 
@@ -71,11 +68,11 @@ class _BlockMap:
 
 
 def _gram_blocks(n: int):
-    """Column ranges (a, b) of the Gram blocks, pass by pass."""
-    for a in range(0, n, _EMBED_COLS):
-        b = min(a + _EMBED_COLS, n)
-        edges = [a + i * _GRAM_COLS for i in range(max(1, (b - a) // _GRAM_COLS))] + [b]
-        yield from zip(edges, edges[1:])
+    """Column ranges (a, b) of the Gram blocks."""
+    edges = [*range(0, n, _GRAM_COLS), n]
+    if len(edges) > 2 and n - edges[-2] < _GRAM_COLS // 2:
+        edges[-2] -= _GRAM_COLS // 2
+    return zip(edges, edges[1:])
 
 
 def _features(maps: tuple[_BlockMap, ...], X: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
@@ -103,7 +100,7 @@ class Embedding:
     The feature matrix Z itself is not stored: the embedding holds
     (rank + 2)(n + 1) floats, plus the signal and the landmark maps. The
     ``Z`` property and ``approx_gram`` recompute the features from those,
-    which costs a full embedding pass and is meant for small n.
+    which costs as much as embedding again and is meant for small n.
     """
 
     # landmark rule used, "grid" or "stride"; None for explicit points
@@ -185,10 +182,10 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
     (recorded as None). Sum kernels embed each coordinate block
     independently and stack the features, since inner products add.
 
-    The features are made in passes of _EMBED_COLS points, each in blocks
-    of _GRAM_COLS written straight into the prefix sums and summed there,
-    so memory beyond the (rank + 2)(n + 1) floats kept is one p x
-    _GRAM_COLS Gram block.
+    The features are the columns of one full-width product proj @ K(J, X),
+    made in blocks of at most _GRAM_COLS points written straight into the
+    prefix sums and summed there, so memory beyond the (rank + 2)(n + 1)
+    floats kept is one p x _GRAM_COLS Gram block.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
@@ -196,7 +193,10 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
     n = sig.n
     if points is not None:
         rule = None
-        points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+        points = np.asarray(points, dtype=np.float64)
+        if points.size == 0 or not np.isfinite(points).all():
+            raise ValueError("landmark points must be a non-empty array of finite values")
+        points = points.reshape(len(points), -1)
         if points.shape[1] != sig.q:
             raise ValueError(f"landmark dimension {points.shape[1]} does not match q={sig.q}")
         blocks = [(spec, None)]
@@ -230,11 +230,9 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         prefix = np.zeros((sum(len(m.proj) for m in maps), n + 1))
         sqnorm = np.zeros(n + 1)
         for a, b in _gram_blocks(n):
-            # each block's features go straight into their prefix columns and
-            # are summed there: their squared norms, then the running sums.
-            # numpy's axis cumsum is sequential, so adding the sum so far to
-            # the first column is the running sum's next step, and the blocks
-            # give one cumsum's bits
+            # features go straight into their prefix columns and are summed
+            # there. numpy's axis cumsum is sequential, so adding the sum so
+            # far to the first column makes the blocks one cumsum's bits
             z = prefix[:, a + 1 : b + 1]
             _features(maps, X, a, b, z)
             np.einsum("ij,ij->j", z, z, out=sqnorm[a + 1 : b + 1])
@@ -283,11 +281,12 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     smallest split index wins ties. O(rank * (end - start)) time.
     """
     _validate_range(emb.n, start, end)
+    check_length_floor(ell)
     lo = start + ell
     hi = end - ell + 1
     if hi <= lo:
         return None
-    # two-piece cost of each split t in [lo, hi), in chunks of _EMBED_COLS
+    # two-piece cost of each split t in [lo, hi), in chunks of _SPLIT_COLS
     # splits from lo. BLAS may round a product differently for other column
     # ranges or operand layouts, so the chunk grid and the C-ordered
     # (2, rank) operand are part of the definition. Each side is then
@@ -297,8 +296,8 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     ST, q, p2 = emb.prefix_sum.T, emb.prefix_sqnorm, emb.prefix_norm_sq
     W = ST[:, (start, end)].T.copy()
     best, split = math.inf, lo
-    for a in range(lo, hi, _EMBED_COLS):
-        b = min(a + _EMBED_COLS, hi)
+    for a in range(lo, hi, _SPLIT_COLS):
+        b = min(a + _SPLIT_COLS, hi)
         cross = W @ ST[:, a:b]
         cross *= -2.0
         p2v = p2[a:b]

@@ -460,9 +460,10 @@ def test_deterministic_output_excluding_timing(tmp_path):
 
 @pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
 def test_multi_chunk_runs_are_deterministic(tmp_path, monkeypatch, algorithm):
-    # several embedding passes and split-scan chunks: the same input gives
-    # the same JSON outside timing
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", 1024)
+    # several Gram blocks and split-scan chunks: the same input gives the
+    # same JSON outside timing
+    monkeypatch.setattr(lowrank, "_GRAM_COLS", 1024)
+    monkeypatch.setattr(lowrank, "_SPLIT_COLS", 1024)
     x = np.random.default_rng(5).normal(size=3 * 1024 + 7)
     x[1200:] += 1.5
     x[2500:] -= 3.0

@@ -121,19 +121,24 @@ def test_embedding_table_bytes_counts_every_array(rng):
         assert np.shares_memory(emb.data, X)
 
 
-# a pass width small enough that test inputs span several passes
+# a Gram block and split chunk width small enough that test inputs span several
 _W = 1024
 
 
 def _full_width_features(emb):
-    """The features as one product per kernel block over all n points, and
-    the magnitude |proj| @ |K| that bounds each product's rounding."""
-    prods, mags = [], []
-    for m in emb.maps:
-        K = m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
-        prods.append(m.proj @ K)
-        mags.append(np.abs(m.proj) @ np.abs(K))
-    return np.vstack(prods), np.vstack(mags)
+    """The features as one product per kernel block over all n points."""
+    return np.vstack([m.proj @ m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
+                      for m in emb.maps])
+
+
+def _one_cumsum(Z):
+    """prefix_sum, prefix_sqnorm and prefix_norm_sq as one cumsum over the
+    feature columns Z, with a zero first row."""
+    n = Z.shape[1]
+    prefix, sqnorm = np.zeros((len(Z), n + 1)), np.zeros(n + 1)
+    np.cumsum(Z, axis=1, out=prefix[:, 1:])
+    np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
+    return prefix.T, sqnorm, np.einsum("ij,ij->j", prefix, prefix)
 
 
 _SPECS = (GaussianKernel(1.0), SumKernel.per_coordinate([GaussianKernel(1.0), LaplaceKernel(2.0)]))
@@ -142,49 +147,41 @@ _SPECS = (GaussianKernel(1.0), SumKernel.per_coordinate([GaussianKernel(1.0), La
 @pytest.mark.parametrize("n", [3 * _W + 1, 3 * _W + 288])
 @pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "sum"])
 def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
-    # the prefix arrays are filled pass by pass; they must be bitwise one
-    # cumsum over the feature columns, with a zero first row
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    # the prefix arrays are filled Gram block by Gram block, the last
+    # W / 2 + (n - 3 W) wide; they must be bitwise one cumsum over the
+    # features. That the features are the full-width product is checked at
+    # the real block width, in test_embedding_is_one_full_width_product
+    monkeypatch.setattr(lowrank, "_GRAM_COLS", _W)
     X = rng.normal(size=(n, 2))
     X[n // 3 :] += 1.0
     emb = nystrom_embed(Signal(X), spec, p=50, rule="stride")
     Z = emb.Z
     assert Z.shape == (emb.rank, n)
-    prefix = np.zeros((n + 1, emb.rank))
-    np.cumsum(Z.T, axis=0, out=prefix[1:])
-    sqnorm = np.zeros(n + 1)
-    np.cumsum(np.einsum("ij,ij->j", Z, Z), out=sqnorm[1:])
-    np.testing.assert_array_equal(emb.prefix_sum, prefix, strict=True)
-    np.testing.assert_array_equal(emb.prefix_sqnorm, sqnorm, strict=True)
+    for got, want in zip((emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq), _one_cumsum(Z),
+                         strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
     # stored feature-major: prefix_sum is the (n + 1, rank) view of a
-    # C-contiguous (rank, n + 1) array, and the norms are summed over it
+    # C-contiguous (rank, n + 1) array
     ST = emb.prefix_sum.T
     assert ST.flags.c_contiguous
     assert emb.prefix_sum.base.shape == ST.shape and emb.prefix_sum.base.flags.c_contiguous
-    np.testing.assert_array_equal(emb.prefix_norm_sq, np.einsum("ij,ij->j", ST, ST), strict=True)
-    # past one pass the features are per-pass products, equal to the
-    # full-width product up to BLAS rounding: a p-term dot product is off
-    # by at most about p u |proj| @ |K|, 6e-15 of that magnitude at p = 50
-    full, mag = _full_width_features(emb)
-    assert (np.abs(Z - full) <= 1e-13 * mag).all()
 
 
 @pytest.mark.parametrize("n", [40, _W])
 @pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "sum"])
-def test_one_pass_embedding_is_the_full_width_product(monkeypatch, rng, n, spec):
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+def test_one_pass_embedding_is_the_full_width_product(rng, n, spec):
+    # one Gram block
     emb = nystrom_embed(Signal(rng.normal(size=(n, 2))), spec, p=20, rule="stride")
-    full = _full_width_features(emb)[0]
+    full = _full_width_features(emb)
     np.testing.assert_array_equal(emb.Z, full, strict=True)
-    prefix = np.zeros((n + 1, emb.rank))
-    np.cumsum(full.T, axis=0, out=prefix[1:])
-    np.testing.assert_array_equal(emb.prefix_sum, prefix, strict=True)
+    np.testing.assert_array_equal(emb.prefix_sum, _one_cumsum(full)[0], strict=True)
 
 
 def test_embedding_memory_is_the_prefix_sums_plus_one_pass(monkeypatch, rng):
-    # n = 4 W + 3 spans five passes; a whole K(J, X) alone would be 4 blocks
-    # of p x W floats, on top of the kept prefix arrays
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    # n = 4 W + 3 spans five Gram blocks of at most W columns; a whole
+    # K(J, X) alone would be 4 blocks of p x W floats, on top of the kept
+    # prefix arrays
+    monkeypatch.setattr(lowrank, "_GRAM_COLS", _W)
     n, p = 4 * _W + 3, 100
     sig = Signal(rng.normal(size=n))
     spec = GaussianKernel(1.0)
@@ -198,29 +195,13 @@ def test_embedding_memory_is_the_prefix_sums_plus_one_pass(monkeypatch, rng):
     assert peak <= embedding_table_bytes(n, emb.rank) + 2 * 8 * p * _W
 
 
-def _one_product_per_pass(emb):
-    """The three prefix arrays as made with one feature product per pass of
-    _EMBED_COLS columns, summed in a copy of the pass."""
-    X, n = emb.data, emb.n
-    prefix, sqnorm = np.zeros((emb.rank, n + 1)), np.zeros(n + 1)
-    for a in range(0, n, lowrank._EMBED_COLS):
-        b = min(a + lowrank._EMBED_COLS, n)
-        z = np.vstack([m.proj @ m.spec.gram(m.landmarks, X[a:b] if m.cols is None else X[a:b, m.cols])
-                       for m in emb.maps])
-        sqnorm[a + 1 : b + 1] = np.einsum("ij,ij->j", z, z)
-        if a:
-            z[:, 0] += prefix[:, a]
-        np.cumsum(z, axis=1, out=prefix[:, a + 1 : b + 1])
-    np.cumsum(sqnorm[1:], out=sqnorm[1:])
-    return prefix.T, sqnorm, np.einsum("ij,ij->j", prefix, prefix)
-
-
-@pytest.mark.parametrize("n", [4097, 8193, 12345, 16383, 16385, 20001, 33333, 50001])
-def test_gram_blocks_give_the_bits_of_one_product_per_pass(rng, n):
-    # each pass is made in blocks of _GRAM_COLS written into the prefix
-    # sums; its bits are those of the pass's one product, remainders and
-    # short last passes included
-    assert (lowrank._EMBED_COLS, lowrank._GRAM_COLS) == (16384, 4096)
+@pytest.mark.parametrize("n", [2047, 2048, 4097, 6143, 8193, 12345, 16383, 16385, 20001, 32769,
+                               32820, 33333, 50001])
+def test_embedding_is_one_full_width_product(rng, n):
+    # the Gram blocks start every 4096 columns, a remainder below 2048
+    # joining the last half-block; the features are bitwise the one product
+    # proj @ K(J, X) over all n points, and the prefix arrays one cumsum of it
+    assert lowrank._GRAM_COLS == 4096
     x = rng.normal(size=(n, 2))
     x[n // 3 :] += 1.5
     one, two = Signal(x[:, :1]), Signal(x)
@@ -232,26 +213,28 @@ def test_gram_blocks_give_the_bits_of_one_product_per_pass(rng, n):
     ]
     for sig, spec, rule in cases:
         emb = nystrom_embed(sig, spec, p=60, rule=rule)
+        full = _full_width_features(emb)
+        np.testing.assert_array_equal(emb.Z, full, strict=True)
         got = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
-        for a, b in zip(got, _one_product_per_pass(emb), strict=True):
+        for a, b in zip(got, _one_cumsum(full), strict=True):
             np.testing.assert_array_equal(a, b, strict=True)
 
 
 def test_embedding_holds_one_gram_block_and_no_features(rng):
-    # at the real widths a pass's K(J, X) alone is p x 16384 floats and its
-    # features rank x 16384; the embedding holds one p x 4096 Gram block
-    # and writes the features into the prefix sums
-    n, p = 50000, 100
-    sig = Signal(rng.normal(size=n))
-    spec = GaussianKernel(1.0)
-    nystrom_embed(sig, spec, p=p, rule="grid")  # first-call allocations stay out
-    tracemalloc.start()
-    try:
-        emb = nystrom_embed(sig, spec, p=p, rule="grid")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= embedding_table_bytes(n, emb.rank) + 8 * p * lowrank._GRAM_COLS + 4 * 8 * 4096
+    # the embedding holds one p x 4096 Gram block and writes the features
+    # into the prefix sums, also when the last blocks are 4096 + 2047 wide
+    # (n = 24575) and when a remainder joins the last half-block (n = 50000)
+    p, spec = 100, GaussianKernel(1.0)
+    for n in (24575, 50000):
+        sig = Signal(rng.normal(size=n))
+        nystrom_embed(sig, spec, p=p, rule="grid")  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            emb = nystrom_embed(sig, spec, p=p, rule="grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= embedding_table_bytes(n, emb.rank) + 8 * p * lowrank._GRAM_COLS + 4 * 8 * 4096
 
 
 def test_default_rule_is_stride_for_multivariate_signals(rng):
@@ -289,6 +272,14 @@ def test_overflowing_kernel_rejected():
     assert str(err.value).startswith(f"{spec!r} gives a non-finite landmark Gram matrix")
 
 
+@pytest.mark.parametrize("points", [np.zeros((0, 1)), [[np.nan]], [[np.inf]]],
+                         ids=["empty", "nan", "inf"])
+def test_landmark_points_must_be_nonempty_and_finite(rng, points):
+    # refused up front, not as a reshape error or a kernel overflow
+    with pytest.raises(ValueError, match="landmark points must be a non-empty array of finite values"):
+        nystrom_embed(Signal(random_signal(rng, 20)), GaussianKernel(1.0), points=points)
+
+
 def test_landmark_count_validation(rng):
     sig = Signal(random_signal(rng, 10))
     with pytest.raises(ValueError):
@@ -317,6 +308,13 @@ def test_best_split_constant_segment_smallest_tie(rng):
     assert cand.split == 1
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_best_split_refuses_a_length_floor_below_one(rng, ell):
+    emb = nystrom_embed(Signal(random_signal(rng, 50)), GaussianKernel(1.0), p=5, rule="grid")
+    with pytest.raises(ValueError, match=f"minimum segment length must be at least 1, got {ell}"):
+        best_split(emb, 0, 50, ell=ell)
+
+
 def test_best_split_infeasible_none(rng):
     emb = nystrom_embed(Signal(random_signal(rng, 6)), GaussianKernel(1.0), p=3, rule="grid")
     assert best_split(emb, 0, 3, ell=2) is None
@@ -326,7 +324,7 @@ def test_best_split_infeasible_none(rng):
 def test_chunked_split_scan_is_its_chunk_by_chunk_reference(monkeypatch, rng):
     # a scan over more than one chunk: one product per chunk of _W splits
     # from lo, then the elementwise formula, then the first minimum
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    monkeypatch.setattr(lowrank, "_SPLIT_COLS", _W)
     n = 3 * _W + 5
     x = rng.normal(size=n)
     x[2000:] += 2.0
@@ -353,7 +351,7 @@ def test_chunked_split_scan_is_its_chunk_by_chunk_reference(monkeypatch, rng):
 
 def test_split_ties_across_chunk_edges_go_to_the_smallest_index(monkeypatch):
     # every split of a constant signal costs exactly 0, in every chunk
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    monkeypatch.setattr(lowrank, "_SPLIT_COLS", _W)
     emb = nystrom_embed(Signal(np.full(2 * _W + 50, 2.0)), LinearKernel(), points=np.array([[1.0]]))
     for start, end, ell in ((0, emb.n, 1), (5, emb.n - 3, 4)):
         cand = best_split(emb, start, end, ell)
@@ -363,7 +361,7 @@ def test_split_ties_across_chunk_edges_go_to_the_smallest_index(monkeypatch):
 def test_split_scans_hold_one_chunk_of_temporaries(monkeypatch, rng):
     # n = 4 W + 3: the root scan as n-length vectors would hold about seven
     # of them, 28 W floats; chunked, each scan holds about 9 W
-    monkeypatch.setattr(lowrank, "_EMBED_COLS", _W)
+    monkeypatch.setattr(lowrank, "_SPLIT_COLS", _W)
     n = 4 * _W + 3
     emb = nystrom_embed(Signal(rng.normal(size=n)), GaussianKernel(1.0), p=20, rule="grid")
     binary_segmentation(emb, dmax=4)  # first-call allocations stay out
