@@ -183,18 +183,19 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
     independently and stack the features, since inner products add.
 
     The features are the columns of one full-width product proj @ K(J, X),
-    made in blocks of at most _GRAM_COLS points written straight into the
-    prefix sums and summed there, so memory beyond the (rank + 2)(n + 1)
-    floats kept is one p x _GRAM_COLS Gram block.
+    except possibly a narrow last block's last columns where OpenBLAS takes
+    its small-matrix kernel (see _GRAM_COLS). They are made in blocks of at
+    most _GRAM_COLS points written straight into the prefix sums and summed
+    there, so memory beyond the (rank + 2)(n + 1) floats kept is one
+    p x _GRAM_COLS Gram block.
     """
     sig = as_signal(signal)
     spec.check_dim(sig.q)
-    X = sig.data
-    n = sig.n
+    X, n = sig.data, sig.n
     if points is not None:
         rule = None
         points = np.asarray(points, dtype=np.float64)
-        if points.size == 0 or not np.isfinite(points).all():
+        if points.ndim == 0 or points.size == 0 or not np.isfinite(points).all():
             raise ValueError("landmark points must be a non-empty array of finite values")
         points = points.reshape(len(points), -1)
         if points.shape[1] != sig.q:
@@ -212,8 +213,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         blocks = ([(child, list(idxs)) for idxs, child in spec.children]
                   if isinstance(spec, SumKernel) else [(spec, None)])
 
-    maps = []
-    dropped = 0
+    maps, dropped = [], 0
     # an overflowing kernel warns on its way to the values the guards report
     with np.errstate(over="ignore", invalid="ignore"):
         for block_spec, cols in blocks:

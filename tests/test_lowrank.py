@@ -126,9 +126,14 @@ _W = 1024
 
 
 def _full_width_features(emb):
-    """The features as one product per kernel block over all n points."""
-    return np.vstack([m.proj @ m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
-                      for m in emb.maps])
+    """The features as one product per kernel block over all n points, and
+    the magnitude |proj| @ |K| that bounds each product's rounding."""
+    prods, mags = [], []
+    for m in emb.maps:
+        K = m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
+        prods.append(m.proj @ K)
+        mags.append(np.abs(m.proj) @ np.abs(K))
+    return np.vstack(prods), np.vstack(mags)
 
 
 def _one_cumsum(Z):
@@ -149,8 +154,12 @@ _SPECS = (GaussianKernel(1.0), SumKernel.per_coordinate([GaussianKernel(1.0), La
 def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
     # the prefix arrays are filled Gram block by Gram block, the last
     # W / 2 + (n - 3 W) wide; they must be bitwise one cumsum over the
-    # features. That the features are the full-width product is checked at
-    # the real block width, in test_embedding_is_one_full_width_product
+    # features. The features are bitwise the full-width product at the real
+    # block width (test_embedding_is_one_full_width_product). At this width
+    # the sum kernel's Gaussian block (rank about 15) can go to OpenBLAS's
+    # small-matrix kernel, which may round a narrow last block's last columns
+    # differently, so the features are held to the rounding bound of a
+    # p-term dot product, about p u |proj| @ |K|, 6e-15 of it at p = 50
     monkeypatch.setattr(lowrank, "_GRAM_COLS", _W)
     X = rng.normal(size=(n, 2))
     X[n // 3 :] += 1.0
@@ -165,6 +174,8 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
     ST = emb.prefix_sum.T
     assert ST.flags.c_contiguous
     assert emb.prefix_sum.base.shape == ST.shape and emb.prefix_sum.base.flags.c_contiguous
+    full, mag = _full_width_features(emb)
+    assert (np.abs(Z - full) <= 1e-13 * mag).all()
 
 
 @pytest.mark.parametrize("n", [40, _W])
@@ -172,7 +183,7 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
 def test_one_pass_embedding_is_the_full_width_product(rng, n, spec):
     # one Gram block
     emb = nystrom_embed(Signal(rng.normal(size=(n, 2))), spec, p=20, rule="stride")
-    full = _full_width_features(emb)
+    full = _full_width_features(emb)[0]
     np.testing.assert_array_equal(emb.Z, full, strict=True)
     np.testing.assert_array_equal(emb.prefix_sum, _one_cumsum(full)[0], strict=True)
 
@@ -213,7 +224,7 @@ def test_embedding_is_one_full_width_product(rng, n):
     ]
     for sig, spec, rule in cases:
         emb = nystrom_embed(sig, spec, p=60, rule=rule)
-        full = _full_width_features(emb)
+        full = _full_width_features(emb)[0]
         np.testing.assert_array_equal(emb.Z, full, strict=True)
         got = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
         for a, b in zip(got, _one_cumsum(full), strict=True):
@@ -272,10 +283,10 @@ def test_overflowing_kernel_rejected():
     assert str(err.value).startswith(f"{spec!r} gives a non-finite landmark Gram matrix")
 
 
-@pytest.mark.parametrize("points", [np.zeros((0, 1)), [[np.nan]], [[np.inf]]],
-                         ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("points", [np.zeros((0, 1)), [[np.nan]], [[np.inf]], 1.0],
+                         ids=["empty", "nan", "inf", "scalar"])
 def test_landmark_points_must_be_nonempty_and_finite(rng, points):
-    # refused up front, not as a reshape error or a kernel overflow
+    # refused up front, not as a reshape, len() or kernel overflow error
     with pytest.raises(ValueError, match="landmark points must be a non-empty array of finite values"):
         nystrom_embed(Signal(random_signal(rng, 20)), GaussianKernel(1.0), points=points)
 
