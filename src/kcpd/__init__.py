@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .exact_dp import (
     DPResult,
     Segmentation,
-    backtrack,
     cost_columns,
     kernseg_exact,
     naive_dp,
@@ -29,7 +28,6 @@ from .kernels import (
     as_signal,
     empirical_mmd_sq,
     energy_distance,
-    evaluate,
     mad_scale,
 )
 from .lowrank import (
@@ -72,7 +70,6 @@ __all__ = [
     "ExponentialKernel",
     "EnergyKernel",
     "SumKernel",
-    "evaluate",
     "mad_scale",
     "empirical_mmd_sq",
     "energy_distance",
@@ -82,7 +79,6 @@ __all__ = [
     "cost_columns",
     "kernseg_exact",
     "naive_dp",
-    "backtrack",
     "Embedding",
     "SplitCandidate",
     "BinSegResult",

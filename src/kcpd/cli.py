@@ -53,10 +53,6 @@ class InputError(Exception):
     pass
 
 
-class InfeasibleError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # CSV handling
 
@@ -169,11 +165,11 @@ def build_kernel(family: str, delta: float, alpha: float, x0, q: int, sum_child:
     family = family.lower()
     if family == "sum":
         if sum_child.lower() == "sum":
-            raise InfeasibleError(f"sum kernel child family {sum_child!r} cannot itself be a sum")
+            raise ValueError(f"sum kernel child family {sum_child!r} cannot itself be a sum")
         child = build_kernel(sum_child, delta, alpha, None, 1, sum_child)
         return SumKernel.per_coordinate([child] * q)
     if family not in _FAMILIES:
-        raise InfeasibleError(f"unknown kernel family {family!r}")
+        raise ValueError(f"unknown kernel family {family!r}")
     cls, names = _FAMILIES[family]
     args = {"delta": delta, "alpha": alpha, "x0": x0}
     return cls(*(args[a] for a in names))
@@ -212,7 +208,7 @@ def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int
         doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": emb.rule, "exhausted": bres.exhausted}
         return (bres.losses, lambda d: bres.segmentations[d - 1],
                 embedding_table_bytes(signal.n, emb.rank), None, doc)
-    raise InfeasibleError(f"unknown algorithm {algorithm!r}")
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def run_segment(
@@ -239,7 +235,7 @@ def run_segment(
     except ValueError as exc:
         # with Dmax and the floor both at least 1, the signal is too short for them
         hint = "; lower --dmax or --min-seg-len" if min(dmax, ell) >= 1 else ""
-        raise InfeasibleError(f"{exc}{hint}") from exc
+        raise ValueError(f"{exc}{hint}") from exc
     if c1 is None:
         # the slope fit's own refusal, before the engine runs for nothing
         check_slope_dmax(dmax)
@@ -323,7 +319,6 @@ def run_bench(
     ell: int = 1,
     seed: int = 0,
     memory_budget_bytes: int = 2_000_000_000,
-    log=lambda msg: print(msg, file=sys.stderr),
 ) -> list[dict]:
     """Time one segmentation per (algorithm, n) cell on seeded data.
 
@@ -331,9 +326,9 @@ def run_bench(
     Cells whose main tables would exceed the memory budget are skipped.
     """
     if sorted(grid) != list(grid):
-        raise InfeasibleError("benchmark grid must be sorted ascending")
+        raise ValueError("benchmark grid must be sorted ascending")
     if grid and grid[0] <= _BENCH_CHANGES:
-        raise InfeasibleError(f"benchmark grid length {grid[0]} is too short: the benchmark signal "
+        raise ValueError(f"benchmark grid length {grid[0]} is too short: the benchmark signal "
                               f"has {_BENCH_CHANGES} changes, so each length must be at least "
                               f"{_BENCH_CHANGES + 1}")
     spec = GaussianKernel(1.0)
@@ -356,7 +351,7 @@ def run_bench(
                 p_used = min(p_used, n)
                 est = embedding_table_bytes(n, p_used)
             if est > memory_budget_bytes:
-                log(f"skipping {algo} at n={n}: estimated {est} table bytes over budget")
+                print(f"skipping {algo} at n={n}: estimated {est} table bytes over budget", file=sys.stderr)
                 continue
             t0 = time.perf_counter()
             _, _, bytes_used, _, _ = _solve(sig, spec, algo, d_eff, ell, p_used, None)
@@ -499,7 +494,7 @@ def _cmd_simulate(args) -> int:
         ("--noise-sd", args.noise_sd, 0 <= args.noise_sd < math.inf, "a finite nonnegative number"),
     )
     if args.n < args.num_changes + 1:
-        raise InfeasibleError(f"cannot place {args.num_changes} changes in {args.n} points")
+        raise ValueError(f"cannot place {args.num_changes} changes in {args.n} points")
     changes = equally_spaced_changes(args.n, args.num_changes)
     d = args.num_changes + 1
     rows = []

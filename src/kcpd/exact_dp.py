@@ -15,8 +15,9 @@ s + 1 and a full signal of length n is the segment [0, n) == {1, .., n}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "cost_columns",
     "kernseg_exact",
     "naive_dp",
-    "backtrack",
 ]
 
 NAIVE_DEFAULT_CAP = 4000
@@ -71,11 +71,6 @@ class Segmentation:
 
     def lengths(self) -> list[int]:
         return [e - s for s, e in self.bounds()]
-
-    @classmethod
-    def from_bounds(cls, starts0: Iterable[int], n: int) -> "Segmentation":
-        """Build from 0-based internal segment starts."""
-        return cls(tuple(int(s) + 1 for s in starts0), n)
 
     @classmethod
     def _trusted(cls, starts: tuple[int, ...], n: int) -> "Segmentation":
@@ -207,37 +202,37 @@ class DPResult:
         return out
 
     def backtrack(self, d: int) -> Segmentation:
-        if not (1 <= d <= self.dmax):
-            raise ValueError(f"D must lie in 1..{self.dmax}, got {d}")
-        if not math.isfinite(self.loss(d)):
+        if not math.isfinite(self.loss(d)):  # loss(d) checks the range of d
             raise ValueError(f"no segmentation with {d} segments of length >= {self.ell}")
-        starts = [0] * d
-        e = self.n
+        starts, e = [1] * d, self.n
         for r in range(d - 1, 0, -1):
             e = int(self._back[r, e])
-            starts[r] = e
-        return Segmentation.from_bounds(starts, self.n)
+            starts[r] = e + 1  # the internal start e, reported 1-based
+        return Segmentation(tuple(starts), self.n)
 
 
-def backtrack(result: DPResult, d: int) -> Segmentation:
-    """Segmentation attaining result.loss(d)."""
-    return result.backtrack(d)
+def _size(value, name: str) -> int:
+    """``value`` as an int (numpy integers included); a ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
 
 
 def check_feasible(n: int, dmax: int, ell: int) -> None:
     """Raise ValueError unless dmax segments of at least ell points fit in n."""
+    n, dmax = _size(n, "signal length"), _size(dmax, "Dmax")
     if dmax < 1:
         raise ValueError(f"Dmax must be at least 1, got {dmax}")
     check_length_floor(ell)
     if dmax * ell > n:
-        raise ValueError(
-            f"infeasible: {dmax} segments of length >= {ell} need {dmax * ell} points, signal has {n}"
-        )
+        raise ValueError(f"infeasible: {dmax} segments of length >= {ell} need {dmax * ell} points, "
+                         f"signal has {n}")
 
 
 def check_length_floor(ell: int) -> None:
-    """Raise ValueError unless the minimum segment length ``ell`` is at least 1."""
-    if ell < 1:
+    """Raise ValueError unless the minimum segment length ``ell`` is an integer of at least 1."""
+    if _size(ell, "minimum segment length") < 1:
         raise ValueError(f"minimum segment length must be at least 1, got {ell}")
 
 
@@ -322,17 +317,16 @@ def _direct_cost_table(sig: Signal, spec: KernelSpec) -> np.ndarray:
     return C
 
 
-def naive_dp(signal, spec: KernelSpec, dmax: int, max_n: int = NAIVE_DEFAULT_CAP) -> DPResult:
-    """Baseline segmenter with a precomputed cost table.
+def naive_dp(signal, spec: KernelSpec, dmax: int) -> DPResult:
+    """Segmenter with a precomputed cost table, the differential-testing oracle.
 
     Output contract matches :func:`kernseg_exact` with ell = 1. Quadratic
-    memory, so inputs above ``max_n`` are refused; retained as a
-    differential-testing oracle and benchmark baseline.
+    memory, so inputs above NAIVE_DEFAULT_CAP points are refused.
     """
     sig = as_signal(signal)
     n = sig.n
-    if n > max_n:
-        raise ValueError(f"signal of length {n} exceeds the cap {max_n} for the quadratic-memory baseline")
+    if n > NAIVE_DEFAULT_CAP:
+        raise ValueError(f"signal of length {n} exceeds the quadratic-memory oracle's cap {NAIVE_DEFAULT_CAP}")
     check_feasible(n, dmax, 1)
     spec.check_dim(sig.q)
 

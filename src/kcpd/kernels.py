@@ -2,8 +2,8 @@
 
 Every kernel evaluates pointwise on q-dimensional observations and has one
 vectorised form, ``_gram`` (a Gram block, or one point against a block), on
-which ``KernelSpec`` defines ``gram``, ``cross`` and the exact sweep's prefix
-columns, so Gram rows hold the sweep's column values. All arrays are float64.
+which ``KernelSpec`` defines ``gram`` and the exact sweep's prefix columns,
+so Gram rows hold the sweep's column values. All arrays are float64.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "ExponentialKernel",
     "EnergyKernel",
     "SumKernel",
-    "evaluate",
     "mad_scale",
     "empirical_mmd_sq",
     "energy_distance",
@@ -118,10 +117,10 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None
 class KernelSpec:
     """A symmetric kernel k(x, y) on R^q, evaluable pointwise and in blocks.
 
-    A family defines ``_pair``, ``diag`` and ``_gram``; ``gram``, ``cross``
-    and ``prefix_column_fn`` are defined here, once, on ``_gram``. ``psd`` is
-    True only for kernels known to be positive semi-definite; the exact
-    segmenter prunes candidate change points only for those.
+    A family defines ``_pair``, ``diag`` and ``_gram``; the public forms
+    ``pair``, ``gram`` and ``prefix_column_fn`` are defined here, once, on
+    them. ``psd`` is True only for positive semi-definite kernels; the
+    exact segmenter prunes candidate change points only for those.
     """
 
     psd = False
@@ -147,15 +146,11 @@ class KernelSpec:
         None, and returned."""
         raise NotImplementedError
 
-    def gram(self, X: np.ndarray, Y: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Gram block k(X[i], Y[l]); symmetric k(X, X) when Y is None. A
         one-point X (a q-vector) gives the vector k(X, Y[l]), of length 1
         when Y is None."""
-        return self._gram(X, np.atleast_2d(X) if Y is None else Y, out)
-
-    def cross(self, X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Vector of k(X[i], y) over the rows of X."""
-        return self._gram(y, X, out)
+        return self._gram(X, np.atleast_2d(X) if Y is None else Y, None)
 
     def prefix_column_fn(self, X: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """Return f(j, out) writing k(X[j], X[:j]) into out[:j].
@@ -408,11 +403,6 @@ class SumKernel(KernelSpec):
             return target
 
         return f
-
-
-def evaluate(spec: KernelSpec, x, y) -> float:
-    """Pointwise kernel evaluation k(x, y)."""
-    return spec.pair(x, y)
 
 
 def _median_rows(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact_dp import Segmentation, _validate_range, check_feasible, check_length_floor, overflow_error
+from .exact_dp import Segmentation, _size, _validate_range, check_feasible, check_length_floor, overflow_error
 from .kernels import KernelSpec, SumKernel, as_signal
 
 __all__ = [
@@ -202,6 +202,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
             raise ValueError(f"landmark dimension {points.shape[1]} does not match q={sig.q}")
         blocks = [(spec, None)]
     else:
+        p = _size(p, "landmark count")
         if not (1 <= p <= n):
             raise ValueError(f"landmark count must lie in 1..{n}, got {p}")
         if rule is None:
@@ -298,14 +299,14 @@ def best_split(emb: Embedding, start: int, end: int, ell: int = 1) -> SplitCandi
     best, split = math.inf, lo
     for a in range(lo, hi, _SPLIT_COLS):
         b = min(a + _SPLIT_COLS, hi)
-        cross = W @ ST[:, a:b]
-        cross *= -2.0
+        prod = W @ ST[:, a:b]
+        prod *= -2.0
         p2v = p2[a:b]
         qv = q[a:b]
-        lnum = p2v + cross[0]
+        lnum = p2v + prod[0]
         lnum += p2[start]
         lnum /= np.arange(a - start, b - start, dtype=np.float64)
-        rnum = cross[1] + p2[end]
+        rnum = prod[1] + p2[end]
         rnum += p2v
         rnum /= np.arange(end - a, end - b, -1, dtype=np.float64)
         total = qv - q[start]

@@ -3,8 +3,9 @@
 Generators cover the change types the segmenters are meant to find: mean
 shifts, variance shifts, and a folded two-mode track built as
 |N(center, spread) - 0.5|, the shape of a symmetrized allelic-ratio
-profile. Randomness comes from a counter-based Philox bit generator, so a
-seed pins the output bit-exactly across runs and platforms.
+profile. The noise level is each piece's own sd or spread. Randomness
+comes from a counter-based Philox bit generator, so a seed pins the output
+bit-exactly across runs and platforms.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ class NormalPiece:
         if self.sd < 0 or not math.isfinite(self.sd) or not math.isfinite(self.mean):
             raise ValueError("mean must be finite and sd nonnegative")
 
-    def regression_mean(self, noise_scale: float) -> float:
+    def regression_mean(self) -> float:
         return self.mean
 
-    def draw(self, rng: np.random.Generator, size: int, noise_scale: float) -> np.ndarray:
-        return rng.normal(self.mean, self.sd * noise_scale, size)
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.normal(self.mean, self.sd, size)
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,17 @@ class FoldedPiece:
         if self.spread < 0 or not math.isfinite(self.spread) or not math.isfinite(self.center):
             raise ValueError("center must be finite and spread nonnegative")
 
-    def regression_mean(self, noise_scale: float) -> float:
+    def regression_mean(self) -> float:
         # mean of |W| for W ~ N(center - 0.5, s^2)
         w = self.center - 0.5
-        s = self.spread * noise_scale
+        s = self.spread
         if s == 0.0:
             return abs(w)
         phi = 0.5 * (1.0 + math.erf(-w / (s * math.sqrt(2.0))))
         return s * math.sqrt(2.0 / math.pi) * math.exp(-(w * w) / (2.0 * s * s)) + w * (1.0 - 2.0 * phi)
 
-    def draw(self, rng: np.random.Generator, size: int, noise_scale: float) -> np.ndarray:
-        return np.abs(rng.normal(self.center, self.spread * noise_scale, size) - 0.5)
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.abs(rng.normal(self.center, self.spread, size) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class SyntheticSignal:
     truth: Segmentation
     means: np.ndarray  # (n, q) per-point regression means
     seed: int
-    noise_scale: float
 
 
 def generate(
@@ -86,14 +86,12 @@ def generate(
     change_points: Sequence[int],
     segment_specs: Sequence[Sequence],
     seed: int,
-    noise_scale: float = 1.0,
 ) -> SyntheticSignal:
     """Draw a piecewise-distribution signal with known change points.
 
     ``change_points`` are 1-based segment starts (the leading 1 may be
     omitted). ``segment_specs[d]`` lists one piece per coordinate for
-    segment d. ``noise_scale`` multiplies every sd/spread, the knob that
-    degrades the signal-to-noise ratio.
+    segment d; each piece's sd or spread is its noise level.
     """
     starts = [int(v) for v in change_points]
     if not starts or starts[0] != 1:
@@ -104,19 +102,15 @@ def generate(
     q = len(segment_specs[0])
     if q < 1 or any(len(row) != q for row in segment_specs):
         raise ValueError("every segment needs the same positive number of coordinate specs")
-    if noise_scale < 0 or not math.isfinite(noise_scale):
-        raise ValueError("noise scale must be a nonnegative real")
 
     rng = np.random.Generator(np.random.Philox(seed))
     data = np.empty((n, q))
     means = np.empty((n, q))
     for (s, e), row in zip(truth.bounds(), segment_specs):
         for c, piece in enumerate(row):
-            data[s:e, c] = piece.draw(rng, e - s, noise_scale)
-            means[s:e, c] = piece.regression_mean(noise_scale)
-    return SyntheticSignal(
-        signal=Signal(data), truth=truth, means=means, seed=int(seed), noise_scale=float(noise_scale)
-    )
+            data[s:e, c] = piece.draw(rng, e - s)
+            means[s:e, c] = piece.regression_mean()
+    return SyntheticSignal(signal=Signal(data), truth=truth, means=means, seed=int(seed))
 
 
 def equally_spaced_changes(n: int, num_changes: int) -> list[int]:

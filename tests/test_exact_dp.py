@@ -19,7 +19,6 @@ from kcpd import (
     Segmentation,
     Signal,
     SumKernel,
-    backtrack,
     cost_columns,
     kernseg_exact,
     naive_dp,
@@ -269,7 +268,7 @@ def test_backtracked_loss_matches_table(rng):
 def test_backtrack_single_segment(rng):
     sig = Signal(random_signal(rng, 15))
     res = kernseg_exact(sig, GaussianKernel(1.0), dmax=3)
-    assert backtrack(res, 1).starts == (1,)
+    assert res.backtrack(1).starts == (1,)
 
 
 def test_infeasible_arguments():
@@ -368,8 +367,9 @@ def test_exact_equals_naive_and_enumeration(n, q, family, seed):
 
 
 def test_naive_cap():
-    with pytest.raises(ValueError):
-        naive_dp(Signal(np.zeros(51)), LinearKernel(), dmax=2, max_n=50)
+    # refused before the quadratic table is built
+    with pytest.raises(ValueError, match="cap 4000"):
+        naive_dp(Signal(np.zeros(4001)), LinearKernel(), dmax=2)
 
 
 def test_naive_monotone(rng):

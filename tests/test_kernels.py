@@ -19,7 +19,6 @@ from kcpd import (
     binary_segmentation,
     empirical_mmd_sq,
     energy_distance,
-    evaluate,
     kernseg_exact,
     mad_scale,
     naive_dp,
@@ -48,12 +47,12 @@ PSD_FAMILIES = [
 
 
 def test_pointwise_values():
-    assert evaluate(EnergyKernel(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert evaluate(EnergyKernel(1.0), 3.0, 3.0) == pytest.approx(3.0, abs=1e-15)
-    assert evaluate(GaussianKernel(1.0), 0.0, 0.0) == 1.0
-    assert evaluate(LinearKernel(), (1.0, 2.0), (3.0, 4.0)) == 11.0
-    assert evaluate(LaplaceKernel(2.0), 0.0, 2.0) == pytest.approx(math.exp(-1.0))
-    assert evaluate(ExponentialKernel(2.0), (1.0, 1.0), (1.0, 1.0)) == pytest.approx(math.exp(-1.0))
+    assert EnergyKernel(1.0).pair(1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert EnergyKernel(1.0).pair(3.0, 3.0) == pytest.approx(3.0, abs=1e-15)
+    assert GaussianKernel(1.0).pair(0.0, 0.0) == 1.0
+    assert LinearKernel().pair((1.0, 2.0), (3.0, 4.0)) == 11.0
+    assert LaplaceKernel(2.0).pair(0.0, 2.0) == pytest.approx(math.exp(-1.0))
+    assert ExponentialKernel(2.0).pair((1.0, 1.0), (1.0, 1.0)) == pytest.approx(math.exp(-1.0))
 
 
 def test_energy_self_similarity_is_anchor_distance(rng):
@@ -61,7 +60,7 @@ def test_energy_self_similarity_is_anchor_distance(rng):
     for _ in range(20):
         x = rng.normal(size=2)
         expect = np.linalg.norm(x - np.array([0.5, -1.0])) ** 1.3
-        assert evaluate(spec, x, x) == pytest.approx(expect, rel=1e-12)
+        assert spec.pair(x, x) == pytest.approx(expect, rel=1e-12)
 
 
 def test_symmetry_all_families(rng):
@@ -69,27 +68,27 @@ def test_symmetry_all_families(rng):
         for _ in range(1000 // len(ALL_FAMILIES) + 1):
             x = rng.normal(size=3)
             y = rng.normal(size=3)
-            assert abs(evaluate(spec, x, y) - evaluate(spec, y, x)) <= 1e-12
+            assert abs(spec.pair(x, y) - spec.pair(y, x)) <= 1e-12
 
 
-def test_cross_and_gram_match_pointwise(rng):
+def test_gram_matches_pointwise(rng):
     X = rng.normal(size=(12, 3))
     y = rng.normal(size=3)
     for spec in ALL_FAMILIES:
-        col = spec.cross(X.copy(), y)
+        col = spec.gram(y, X.copy())
         G = spec.gram(X)
         d = spec.diag(X)
         # a one-point signal given as a q-vector: its Gram row is a 1-vector
         assert spec.gram(y).shape == (1,)
         assert spec.gram(y).tobytes() == spec.gram(y, y[None, :]).tobytes()
         for i in range(12):
-            assert col[i] == pytest.approx(evaluate(spec, X[i], y), rel=1e-12, abs=1e-12)
-            assert d[i] == pytest.approx(evaluate(spec, X[i], X[i]), rel=1e-12, abs=1e-12)
+            assert col[i] == pytest.approx(spec.pair(X[i], y), rel=1e-12, abs=1e-12)
+            assert d[i] == pytest.approx(spec.pair(X[i], X[i]), rel=1e-12, abs=1e-12)
             for j in range(12):
-                assert G[i, j] == pytest.approx(evaluate(spec, X[i], X[j]), rel=1e-10, abs=1e-10)
+                assert G[i, j] == pytest.approx(spec.pair(X[i], X[j]), rel=1e-10, abs=1e-10)
 
 
-def test_prefix_column_matches_cross(rng):
+def test_prefix_column_matches_gram(rng):
     # q < 8 and q >= 8 take the two branches of the squared-distance routine
     for q in (1, 2, 3, 7, 8, 9):
         _check_prefix_columns(rng.normal(size=(30, q)))
@@ -106,10 +105,8 @@ def _check_prefix_columns(X):
         buf = np.empty(30)
         for j in (1, 7, 29):
             got = fn(j, buf)
-            want = spec.cross(X[:j].copy(), X[j])
+            want = spec.gram(X[j], X[:j].copy())
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-            # cross is the one-point Gram form, to the byte
-            assert spec.gram(X[j], X[:j].copy()).tobytes() == want.tobytes()
     # a block of Gram rows holds the prefix columns bitwise; gemm and gemv
     # round inner products differently, so linear and exponential at q = 1 only
     block_specs = [GaussianKernel(1.3), LaplaceKernel(0.7), EnergyKernel(1.0),
@@ -144,12 +141,12 @@ def test_custom_kernel_from_three_methods(rng):
     spec = _Cauchy()
     X = rng.normal(size=(40, 2))
     X[20:] += 3.0
-    # cross, gram and the sweep's columns come from _gram alone
+    # pair, gram and the sweep's columns come from the three methods alone
     fn = spec.prefix_column_fn(X)
     buf = np.empty(40)
     for j in (1, 13, 39):
-        want = spec.cross(X[:j], X[j])
-        np.testing.assert_allclose(want, [evaluate(spec, x, X[j]) for x in X[:j]], rtol=1e-14)
+        want = spec.gram(X[j], X[:j])
+        np.testing.assert_allclose(want, [spec.pair(x, X[j]) for x in X[:j]], rtol=1e-14)
         assert fn(j, buf).tobytes() == want.tobytes()
         assert spec.gram(X[:j], X[j : j + 1])[:, 0].tobytes() == want.tobytes()
     # both engines run on it
@@ -221,7 +218,7 @@ def test_translation_invariance(rng):
             x = rng.normal(size=2)
             y = rng.normal(size=2)
             c = rng.normal(size=2)
-            assert abs(evaluate(spec, x + c, y + c) - evaluate(spec, x, y)) <= 1e-12
+            assert abs(spec.pair(x + c, y + c) - spec.pair(x, y)) <= 1e-12
 
 
 def test_sum_kernel_equals_sum_of_children(rng):
@@ -230,8 +227,8 @@ def test_sum_kernel_equals_sum_of_children(rng):
     for _ in range(50):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
-        expect = evaluate(GaussianKernel(1.0), x[0], y[0]) + evaluate(LinearKernel(), x[2], y[2])
-        assert evaluate(spec, x, y) == expect
+        expect = GaussianKernel(1.0).pair(x[0], y[0]) + LinearKernel().pair(x[2], y[2])
+        assert spec.pair(x, y) == expect
 
 
 def test_sum_kernel_validation():
@@ -254,9 +251,9 @@ def test_kernel_parameter_validation():
     with pytest.raises(ValueError):
         EnergyKernel(0.0)
     with pytest.raises(ValueError):
-        evaluate(LinearKernel(), (1.0, 2.0), (1.0,))
+        LinearKernel().pair((1.0, 2.0), (1.0,))
     with pytest.raises(ValueError):
-        evaluate(GaussianKernel(1.0), float("nan"), 1.0)
+        GaussianKernel(1.0).pair(float("nan"), 1.0)
 
 
 def test_signal_validation():
@@ -353,7 +350,7 @@ def test_mmd_singletons(rng):
             continue
         if isinstance(spec, EnergyKernel) and spec.x0 is not None:
             continue
-        want = evaluate(spec, x, x) + evaluate(spec, y, y) - 2 * evaluate(spec, x, y)
+        want = spec.pair(x, x) + spec.pair(y, y) - 2 * spec.pair(x, y)
         got = empirical_mmd_sq(spec, x[None, :], y[None, :])
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -49,7 +49,7 @@ def test_rank_one_embedding_formula(rng):
     u = x[5]
     emb = nystrom_embed(Signal(x), spec, p=1, points=u[None, :])
     kt = emb.approx_gram()
-    col = spec.cross(x.copy(), u)
+    col = spec.gram(u, x.copy())
     want = np.outer(col, col) / spec.pair(u, u)
     np.testing.assert_allclose(kt, want, rtol=1e-10, atol=1e-12)
 
@@ -348,9 +348,9 @@ def test_chunked_split_scan_is_its_chunk_by_chunk_reference(monkeypatch, rng):
     totals = []
     for a in range(lo, hi, _W):
         t = np.arange(a, min(a + _W, hi))
-        cross = -2.0 * (W @ ST[:, a : t[-1] + 1])
-        left = (q[t] - q[start]) - (p2[t] + cross[0] + p2[start]) / (t - start)
-        right = (q[end] - q[t]) - (cross[1] + p2[end] + p2[t]) / (end - t)
+        prod = -2.0 * (W @ ST[:, a : t[-1] + 1])
+        left = (q[t] - q[start]) - (p2[t] + prod[0] + p2[start]) / (t - start)
+        right = (q[end] - q[t]) - (prod[1] + p2[end] + p2[t]) / (end - t)
         totals.append(left + right)
     total = np.concatenate(totals)
     i = int(np.argmin(total))

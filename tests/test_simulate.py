@@ -16,8 +16,8 @@ from kcpd import (
 
 
 def test_zero_noise_equals_means():
-    specs = mean_shift_specs([[0.0], [5.0], [-2.0]], sd=1.0)
-    out = generate(30, [1, 11, 21], specs, seed=1, noise_scale=0.0)
+    specs = mean_shift_specs([[0.0], [5.0], [-2.0]], sd=0.0)
+    out = generate(30, [1, 11, 21], specs, seed=1)
     np.testing.assert_array_equal(out.signal.data, out.means)
     assert out.truth == Segmentation((1, 11, 21), 30)
 
@@ -39,8 +39,8 @@ def test_philox_stream_pinned():
 
 
 def test_noiseless_truth_has_zero_risk():
-    specs = mean_shift_specs([[1.0], [4.0], [2.0], [7.0]], sd=0.5)
-    out = generate(60, [1, 16, 31, 46], specs, seed=9, noise_scale=0.0)
+    specs = mean_shift_specs([[1.0], [4.0], [2.0], [7.0]], sd=0.0)
+    out = generate(60, [1, 16, 31, 46], specs, seed=9)
     fit = piecewise_mean_fit(out.signal.data[:, 0], out.truth)
     assert empirical_risk(fit, out.means[:, 0]) == 0.0
 
@@ -48,9 +48,9 @@ def test_noiseless_truth_has_zero_risk():
 def test_folded_piece_mean_matches_monte_carlo():
     piece = FoldedPiece(0.62, 0.15)
     rng = np.random.Generator(np.random.Philox(7))
-    draws = piece.draw(rng, 400_000, 1.0)
-    assert draws.mean() == pytest.approx(piece.regression_mean(1.0), abs=2e-3)
-    assert piece.regression_mean(0.0) == pytest.approx(0.12, abs=1e-12)
+    draws = piece.draw(rng, 400_000)
+    assert draws.mean() == pytest.approx(piece.regression_mean(), abs=2e-3)
+    assert FoldedPiece(0.62, 0.0).regression_mean() == pytest.approx(0.12, abs=1e-12)
 
 
 def test_variance_piece_keeps_mean():
