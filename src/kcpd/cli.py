@@ -233,8 +233,8 @@ def run_segment(
     try:
         check_feasible(signal.n, dmax, ell)
     except ValueError as exc:
-        # with Dmax and the floor both at least 1, the signal is too short for them
-        hint = "; lower --dmax or --min-seg-len" if min(dmax, ell) >= 1 else ""
+        # only a signal too short for Dmax and the floor has this remedy
+        hint = "; lower --dmax or --min-seg-len" if str(exc).startswith("infeasible:") else ""
         raise ValueError(f"{exc}{hint}") from exc
     if c1 is None:
         # the slope fit's own refusal, before the engine runs for nothing

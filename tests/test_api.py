@@ -16,6 +16,7 @@ from kcpd import (
     naive_dp,
     nystrom_embed,
 )
+from kcpd.cli import run_segment
 
 SUBMODULES = ["exact_dp", "kernels", "lowrank", "metrics", "model_selection", "simulate"]
 
@@ -52,12 +53,13 @@ NON_INTEGER_SIZES = {
     "PenaltySpec-n": (lambda: PenaltySpec(1.0, 1.0, 100.0, 10), "signal length"),
     "PenaltySpec-dmax": (lambda: PenaltySpec(1.0, 1.0, 100, 10.0), "Dmax"),
     "PenaltySpec-ell": (lambda: PenaltySpec(1.0, 1.0, 100, 10, 1.5), "minimum segment length"),
+    "run_segment-dmax": (lambda: run_segment(_X, _SPEC, dmax=10.0, c1=1.0, c2=1.0), "Dmax"),
 }
 
 
 @pytest.mark.parametrize("call, name", NON_INTEGER_SIZES.values(), ids=list(NON_INTEGER_SIZES))
 def test_non_integer_sizes_are_value_errors(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got [0-9.]+$"):
         call()
 
 
