@@ -31,10 +31,7 @@ __all__ = [
     "segment_cost_direct",
     "cost_columns",
     "kernseg_exact",
-    "naive_dp",
 ]
-
-NAIVE_DEFAULT_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -190,6 +187,7 @@ class DPResult:
             self._back.setflags(write=False)
 
     def loss(self, d: int) -> float:
+        d = _size(d, "D")
         if not (1 <= d <= self.dmax):
             raise ValueError(f"D must lie in 1..{self.dmax}, got {d}")
         v = self._L[d - 1, self.n]
@@ -290,62 +288,3 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser
-
-
-def _direct_cost_table(sig: Signal, spec: KernelSpec) -> np.ndarray:
-    """Dense table C[s, e] = cost of [s, e), from the explicit Gram matrix.
-
-    Quadratic memory; row s is accumulated left to right so each entry is
-    formed from sums commensurate with its own segment.
-    """
-    n = sig.n
-    K = spec.gram(sig.data)
-    kdiag = np.diagonal(K).copy()
-    # CS[r, c] = sum_{i < r} K[i, c]
-    CS = np.vstack([np.zeros((1, n)), np.cumsum(K, axis=0)])
-    del K
-    col_below = np.diagonal(CS).copy()  # sum_{i < t} K[i, t]
-    C = np.zeros((n + 1, n + 1))
-    for s in range(n):
-        lens = np.arange(1.0, n - s + 1.0)
-        # inner(t) = sum_{i in [s, t)} K[i, t]; the block sum of K[s:e, s:e]
-        # grows by 2*inner(e-1) + diag(e-1) as e advances
-        inner = col_below[s:n] - CS[s, s:n]
-        block = np.cumsum(2.0 * inner + kdiag[s:n])
-        dsum = np.cumsum(kdiag[s:n])
-        C[s, s + 1 :] = dsum - block / lens
-    return C
-
-
-def naive_dp(signal, spec: KernelSpec, dmax: int) -> DPResult:
-    """Segmenter with a precomputed cost table, the differential-testing oracle.
-
-    Output contract matches :func:`kernseg_exact` with ell = 1. Quadratic
-    memory, so inputs above NAIVE_DEFAULT_CAP points are refused.
-    """
-    sig = as_signal(signal)
-    n = sig.n
-    if n > NAIVE_DEFAULT_CAP:
-        raise ValueError(f"signal of length {n} exceeds the quadratic-memory oracle's cap {NAIVE_DEFAULT_CAP}")
-    check_feasible(n, dmax, 1)
-    spec.check_dim(sig.q)
-
-    # as in kernseg_exact, an overflowing kernel ends in its error, not in
-    # numpy warnings or NaN losses
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = _direct_cost_table(sig, spec)
-    if not np.isfinite(C).all():
-        raise overflow_error(spec, "segment cost table")
-    L = np.full((dmax, n + 1), BIG)
-    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
-    L[0, 1:] = C[0, 1:]
-    cells = 0
-    for r in range(1, dmax):
-        for e in range(r + 1, n + 1):
-            cand = L[r - 1, r:e] + C[r:e, e]
-            i = int(np.argmin(cand))
-            L[r, e] = cand[i]
-            back[r, e] = i + r
-            cells += cand.size
-    table_numbers = (L.nbytes + (0 if back is None else back.nbytes) + C.nbytes) / 8.0
-    return DPResult(L, back, n, dmax, 1, table_numbers, cells)

@@ -96,11 +96,6 @@ class Embedding:
     feature-major: ``prefix_sum`` is the (n + 1, rank) view ``.T`` of a
     C-contiguous (rank, n + 1) array, so a split scan reads each feature's
     sums contiguously.
-
-    The feature matrix Z itself is not stored: the embedding holds
-    (rank + 2)(n + 1) floats, plus the signal and the landmark maps. The
-    ``Z`` property and ``approx_gram`` recompute the features from those,
-    which costs as much as embedding again and is meant for small n.
     """
 
     # landmark rule used, "grid" or "stride"; None for explicit points
@@ -110,8 +105,7 @@ class Embedding:
     prefix_sqnorm: np.ndarray
     # ||prefix_sum[t]||^2, kept so a split scan reads the prefix sums only in its product
     prefix_norm_sq: np.ndarray
-    # the embedded signal and one feature map per kernel block
-    data: np.ndarray = field(repr=False)
+    # one feature map per kernel block
     maps: tuple[_BlockMap, ...] = field(repr=False)
 
     @property
@@ -121,19 +115,6 @@ class Embedding:
     @property
     def rank(self) -> int:
         return self.prefix_sum.shape[1]
-
-    @property
-    def Z(self) -> np.ndarray:
-        """Feature matrix (rank x n), recomputed block by block as embedded."""
-        Z = np.empty((self.rank, self.n))
-        for a, b in _gram_blocks(self.n):
-            _features(self.maps, self.data, a, b, Z[:, a:b])
-        return Z
-
-    def approx_gram(self, idx=None) -> np.ndarray:
-        """Entries of K~ = Z' Z, on all points or on a subset of indices."""
-        cols = self.Z if idx is None else self.Z[:, idx]
-        return cols.T @ cols
 
 
 def embedding_table_bytes(n: int, rank: int) -> int:
@@ -248,7 +229,7 @@ def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = Non
         if not math.isfinite(4.0 * norm_sq.max()):
             raise overflow_error(spec, "embedding")
     return Embedding(rule=rule, dropped=dropped, prefix_sum=prefix.T, prefix_sqnorm=sqnorm,
-                     prefix_norm_sq=norm_sq, data=X, maps=maps)
+                     prefix_norm_sq=norm_sq, maps=maps)
 
 
 def embedded_segment_cost(emb: Embedding, start: int, end: int) -> float:

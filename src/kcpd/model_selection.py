@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_dp import check_feasible
+from .exact_dp import _size, check_feasible
 
 __all__ = [
     "PenaltySpec",
@@ -33,11 +33,19 @@ COND_LIMIT = 1e8
 MIN_DMAX_FOR_SLOPE = 10
 
 
+def _positive_sizes(n: int, d: int, ell: int) -> tuple[int, int, int]:
+    """(n, d, ell) as ints; a ValueError unless each is an integer of at least 1."""
+    n, d = _size(n, "signal length"), _size(d, "D")
+    ell = _size(ell, "minimum segment length")
+    if n < 1 or d < 1 or ell < 1:
+        raise ValueError("n, d and ell must be positive")
+    return n, d, ell
+
+
 def count_segmentations(n: int, d: int, ell: int = 1) -> int:
     """Exact number of segmentations of n points into d segments, each of
     length at least ell. Zero when infeasible."""
-    if n < 1 or d < 1 or ell < 1:
-        raise ValueError("n, d and ell must be positive")
+    n, d, ell = _positive_sizes(n, d, ell)
     if n < d * ell:
         return 0
     return math.comb(n - d * (ell - 1) - 1, d - 1)
@@ -49,8 +57,7 @@ def log_count_segmentations(n: int, d: int, ell: int = 1) -> float:
     Stable for n up to 1e9 and beyond, where the exact integer count
     would be astronomically large.
     """
-    if n < 1 or d < 1 or ell < 1:
-        raise ValueError("n, d and ell must be positive")
+    n, d, ell = _positive_sizes(n, d, ell)
     if n < d * ell:
         return -math.inf
     a = n - d * (ell - 1) - 1
@@ -76,6 +83,7 @@ class PenaltySpec:
 
 def penalty(d: int, spec: PenaltySpec) -> float:
     """c1 * d + c2 * log(count of candidate segmentations); inf if infeasible."""
+    d = _size(d, "D")
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     lc = log_count_segmentations(spec.n, d, spec.ell)

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite.
 
 These deliberately take the slow, literal route (explicit double sums,
-exhaustive enumeration, dense matrices) so they stay independent of the
-recurrences and overlap formulas they are used to check.
+exhaustive enumeration, dense matrices, a precomputed cost table) so they
+stay independent of the recurrences and overlap formulas they are used to
+check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from kcpd import Segmentation, as_signal
+from kcpd import DPResult, Segmentation, as_signal
+from kcpd._dp_core import BIG, back_dtype
+from kcpd.exact_dp import check_feasible, overflow_error
 
 
 def direct_cost_matrix(signal, spec) -> np.ndarray:
@@ -26,6 +29,75 @@ def direct_cost_matrix(signal, spec) -> np.ndarray:
             block = K[s:e, s:e]
             C[s, e] = np.trace(block) - block.sum() / (e - s)
     return C
+
+
+def _direct_cost_table(sig, spec) -> np.ndarray:
+    """Dense table C[s, e] = cost of [s, e), from the explicit Gram matrix.
+
+    Quadratic memory; row s is accumulated left to right so each entry is
+    formed from sums commensurate with its own segment.
+    """
+    n = sig.n
+    K = spec.gram(sig.data)
+    kdiag = np.diagonal(K).copy()
+    # CS[r, c] = sum_{i < r} K[i, c]
+    CS = np.vstack([np.zeros((1, n)), np.cumsum(K, axis=0)])
+    del K
+    col_below = np.diagonal(CS).copy()  # sum_{i < t} K[i, t]
+    C = np.zeros((n + 1, n + 1))
+    for s in range(n):
+        lens = np.arange(1.0, n - s + 1.0)
+        # inner(t) = sum_{i in [s, t)} K[i, t]; the block sum of K[s:e, s:e]
+        # grows by 2*inner(e-1) + diag(e-1) as e advances
+        inner = col_below[s:n] - CS[s, s:n]
+        block = np.cumsum(2.0 * inner + kdiag[s:n])
+        dsum = np.cumsum(kdiag[s:n])
+        C[s, s + 1 :] = dsum - block / lens
+    return C
+
+
+def naive_dp(signal, spec, dmax: int) -> DPResult:
+    """Segmenter with a precomputed cost table, the differential-testing oracle.
+
+    Output contract matches ``kernseg_exact`` with ell = 1. Quadratic
+    memory in the signal length, so it is for small inputs.
+    """
+    sig = as_signal(signal)
+    n = sig.n
+    check_feasible(n, dmax, 1)
+    spec.check_dim(sig.q)
+
+    # as in kernseg_exact, an overflowing kernel ends in its error, not in
+    # numpy warnings or NaN losses
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _direct_cost_table(sig, spec)
+    if not np.isfinite(C).all():
+        raise overflow_error(spec, "segment cost table")
+    L = np.full((dmax, n + 1), BIG)
+    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
+    L[0, 1:] = C[0, 1:]
+    cells = 0
+    for r in range(1, dmax):
+        for e in range(r + 1, n + 1):
+            cand = L[r - 1, r:e] + C[r:e, e]
+            i = int(np.argmin(cand))
+            L[r, e] = cand[i]
+            back[r, e] = i + r
+            cells += cand.size
+    table_numbers = (L.nbytes + (0 if back is None else back.nbytes) + C.nbytes) / 8.0
+    return DPResult(L, back, n, dmax, 1, table_numbers, cells)
+
+
+def full_width_features(emb, X):
+    """An embedding's features of the signal X as one product proj @ K(J, X)
+    per kernel block over all n points, and the magnitude |proj| @ |K| that
+    bounds each product's rounding."""
+    prods, mags = [], []
+    for m in emb.maps:
+        K = m.spec.gram(m.landmarks, X if m.cols is None else X[:, m.cols])
+        prods.append(m.proj @ K)
+        mags.append(np.abs(m.proj) @ np.abs(K))
+    return np.vstack(prods), np.vstack(mags)
 
 
 def enumerate_start_tuples(n: int, d: int, ell: int = 1):

@@ -34,7 +34,6 @@ from kcpd import (
     mad_scale,
     mean_shift_specs,
     membership_norm_sq,
-    naive_dp,
     nystrom_embed,
     NormalPiece,
     select,
@@ -42,7 +41,14 @@ from kcpd import (
 )
 from kcpd.cli import run_bench
 
-from conftest import best_by_enumeration, dense_membership, direct_cost_matrix, random_signal
+from conftest import (
+    best_by_enumeration,
+    dense_membership,
+    direct_cost_matrix,
+    full_width_features,
+    naive_dp,
+    random_signal,
+)
 
 FAMILIES = [
     LinearKernel(),
@@ -170,7 +176,7 @@ def test_criterion_05_nystrom_exactness(report):
         x = random_signal(rng, n)
         emb = nystrom_embed(Signal(x), spec, p=min(16, n), rule="grid")
         res = binary_segmentation(emb, dmax=6)
-        exact = kernseg_exact(Signal(emb.Z.T), LinearKernel(), dmax=6)
+        exact = kernseg_exact(Signal(full_width_features(emb, x)[0].T), LinearKernel(), dmax=6)
         for d in range(1, 7):
             lb = exact.loss(d)
             assert res.losses[d - 1] >= lb - 1e-8 * max(1.0, abs(lb)), (trial, d)

@@ -21,13 +21,13 @@ from kcpd import (
     SumKernel,
     cost_columns,
     kernseg_exact,
-    naive_dp,
+    nystrom_embed,
     segment_cost_direct,
 )
 from kcpd import _dp_core
-from kcpd.exact_dp import _direct_cost_table, kernseg_table_bytes
+from kcpd.exact_dp import kernseg_table_bytes
 
-from conftest import best_by_enumeration, direct_cost_matrix, random_signal
+from conftest import _direct_cost_table, best_by_enumeration, direct_cost_matrix, naive_dp, random_signal
 
 KERNELS = [
     LinearKernel(),
@@ -364,12 +364,6 @@ def test_exact_equals_naive_and_enumeration(n, q, family, seed):
     assert _rel_err(got, naive_dp(sig, spec, dmax).losses()).max() <= 1e-9
     want = [best_by_enumeration(sig, spec, d)[0] for d in range(1, dmax + 1)]
     assert _rel_err(got, np.array(want)).max() <= 1e-9
-
-
-def test_naive_cap():
-    # refused before the quadratic table is built
-    with pytest.raises(ValueError, match="cap 4000"):
-        naive_dp(Signal(np.zeros(4001)), LinearKernel(), dmax=2)
 
 
 def test_naive_monotone(rng):
@@ -827,9 +821,11 @@ def test_overflowing_kernel_raises():
         kernseg_exact(Signal(x), ExponentialKernel(1.0), dmax=5)
 
 
-@pytest.mark.parametrize("engine", [kernseg_exact, naive_dp])
-def test_both_engines_reject_an_overflowing_linear_kernel(engine):
+@pytest.mark.parametrize("engine, what",
+                         [(kernseg_exact, "segment cost"), (nystrom_embed, "landmark Gram")],
+                         ids=["kernseg_exact", "nystrom_embed"])
+def test_both_engines_reject_an_overflowing_linear_kernel(engine, what):
     # k(x, x) = 1e400 overflows; no NaN loss and no numpy warning escapes
     sig = Signal([1e200, -1e200, 3e200, 2e200])
-    with pytest.raises(ValueError, match=r"LinearKernel\(\) gives a non-finite segment cost"):
+    with pytest.raises(ValueError, match=rf"LinearKernel\(\) gives a non-finite {what}"):
         engine(sig, LinearKernel(), 2)

@@ -21,10 +21,11 @@ from kcpd import (
     energy_distance,
     kernseg_exact,
     mad_scale,
-    naive_dp,
     nystrom_embed,
 )
 from kcpd.kernels import _median_rows, _sq_dists
+
+from conftest import naive_dp
 
 ALL_FAMILIES = [
     LinearKernel(),

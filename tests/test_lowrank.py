@@ -26,11 +26,17 @@ from kcpd import (
 from kcpd import lowrank
 from kcpd.lowrank import embedding_table_bytes
 
-from conftest import direct_cost_matrix, random_signal
+from conftest import direct_cost_matrix, full_width_features, random_signal
 
 
 def _rel(a, b, floor=1e-12):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def _approx_gram(emb, X):
+    """K~ = F' F, F the features of the signal X."""
+    F = full_width_features(emb, X)[0]
+    return F.T @ F
 
 
 def test_full_landmarks_reproduce_gram(rng):
@@ -39,7 +45,7 @@ def test_full_landmarks_reproduce_gram(rng):
     spec = GaussianKernel(1.0)
     emb = nystrom_embed(Signal(x), spec, p=50, rule="stride")
     K = spec.gram(x)
-    kt = emb.approx_gram()
+    kt = _approx_gram(emb, x)
     assert np.abs(kt - K).max() <= 1e-6 * np.abs(K).max()
 
 
@@ -48,7 +54,7 @@ def test_rank_one_embedding_formula(rng):
     spec = GaussianKernel(0.5)
     u = x[5]
     emb = nystrom_embed(Signal(x), spec, p=1, points=u[None, :])
-    kt = emb.approx_gram()
+    kt = _approx_gram(emb, x)
     col = spec.gram(u, x.copy())
     want = np.outer(col, col) / spec.pair(u, u)
     np.testing.assert_allclose(kt, want, rtol=1e-10, atol=1e-12)
@@ -66,7 +72,7 @@ def test_linear_kernel_basis_landmarks_exact(rng):
 def test_embedded_cost_matches_double_sum_on_approx_gram(rng):
     x = random_signal(rng, 30)
     emb = nystrom_embed(Signal(x), GaussianKernel(1.0), p=7, rule="grid")
-    kt = emb.approx_gram()
+    kt = _approx_gram(emb, x)
     for _ in range(40):
         s = int(rng.integers(0, 29))
         e = int(rng.integers(s + 1, 31))
@@ -101,10 +107,10 @@ def test_sum_kernel_blocks_concatenate(rng):
     spec = SumKernel.per_coordinate([GaussianKernel(1.0), GaussianKernel(2.0)])
     emb = nystrom_embed(Signal(X), spec, p=35, rule="stride")
     K = spec.gram(X)
-    assert np.abs(emb.approx_gram() - K).max() <= 1e-6 * np.abs(K).max()
+    assert np.abs(_approx_gram(emb, X) - K).max() <= 1e-6 * np.abs(K).max()
     # grid landmarks per coordinate block also work
     emb2 = nystrom_embed(Signal(X), spec, p=10, rule="grid")
-    assert emb2.Z.shape[0] <= 20
+    assert emb2.rank <= 20
 
 
 def test_embedding_table_bytes_counts_every_array(rng):
@@ -114,26 +120,23 @@ def test_embedding_table_bytes_counts_every_array(rng):
         emb = nystrom_embed(Signal(X), spec, p=8, rule="stride")
         arrays = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
         assert embedding_table_bytes(emb.n, emb.rank) == sum(a.nbytes for a in arrays)
-        # besides those it holds the caller's signal and the small landmark maps
+        # besides those it holds only the small landmark maps
         held = [getattr(emb, f.name) for f in dataclasses.fields(emb)]
-        assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == (
-            embedding_table_bytes(emb.n, emb.rank) + X.nbytes)
-        assert np.shares_memory(emb.data, X)
+        kept = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        assert kept == embedding_table_bytes(emb.n, emb.rank)
 
 
 # a Gram block and split chunk width small enough that test inputs span several
 _W = 1024
 
 
-def _full_width_features(emb):
-    """The features as one product per kernel block over all n points, and
-    the magnitude |proj| @ |K| that bounds each product's rounding."""
-    prods, mags = [], []
-    for m in emb.maps:
-        K = m.spec.gram(m.landmarks, emb.data if m.cols is None else emb.data[:, m.cols])
-        prods.append(m.proj @ K)
-        mags.append(np.abs(m.proj) @ np.abs(K))
-    return np.vstack(prods), np.vstack(mags)
+def _streamed_features(emb, X):
+    """The features of the signal X as the embedding makes them, Gram block
+    by Gram block."""
+    Z = np.empty((emb.rank, emb.n))
+    for a, b in lowrank._gram_blocks(emb.n):
+        lowrank._features(emb.maps, X, a, b, Z[:, a:b])
+    return Z
 
 
 def _one_cumsum(Z):
@@ -164,7 +167,7 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
     X = rng.normal(size=(n, 2))
     X[n // 3 :] += 1.0
     emb = nystrom_embed(Signal(X), spec, p=50, rule="stride")
-    Z = emb.Z
+    Z = _streamed_features(emb, X)
     assert Z.shape == (emb.rank, n)
     for got, want in zip((emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq), _one_cumsum(Z),
                          strict=True):
@@ -174,7 +177,7 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
     ST = emb.prefix_sum.T
     assert ST.flags.c_contiguous
     assert emb.prefix_sum.base.shape == ST.shape and emb.prefix_sum.base.flags.c_contiguous
-    full, mag = _full_width_features(emb)
+    full, mag = full_width_features(emb, X)
     assert (np.abs(Z - full) <= 1e-13 * mag).all()
 
 
@@ -182,9 +185,10 @@ def test_streamed_prefix_sums_are_one_cumsum(monkeypatch, rng, n, spec):
 @pytest.mark.parametrize("spec", _SPECS, ids=["gaussian", "sum"])
 def test_one_pass_embedding_is_the_full_width_product(rng, n, spec):
     # one Gram block
-    emb = nystrom_embed(Signal(rng.normal(size=(n, 2))), spec, p=20, rule="stride")
-    full = _full_width_features(emb)[0]
-    np.testing.assert_array_equal(emb.Z, full, strict=True)
+    X = rng.normal(size=(n, 2))
+    emb = nystrom_embed(Signal(X), spec, p=20, rule="stride")
+    full = full_width_features(emb, X)[0]
+    np.testing.assert_array_equal(_streamed_features(emb, X), full, strict=True)
     np.testing.assert_array_equal(emb.prefix_sum, _one_cumsum(full)[0], strict=True)
 
 
@@ -224,8 +228,8 @@ def test_embedding_is_one_full_width_product(rng, n):
     ]
     for sig, spec, rule in cases:
         emb = nystrom_embed(sig, spec, p=60, rule=rule)
-        full = _full_width_features(emb)[0]
-        np.testing.assert_array_equal(emb.Z, full, strict=True)
+        full = full_width_features(emb, sig.data)[0]
+        np.testing.assert_array_equal(_streamed_features(emb, sig.data), full, strict=True)
         got = (emb.prefix_sum, emb.prefix_sqnorm, emb.prefix_norm_sq)
         for a, b in zip(got, _one_cumsum(full), strict=True):
             np.testing.assert_array_equal(a, b, strict=True)
@@ -252,7 +256,8 @@ def test_default_rule_is_stride_for_multivariate_signals(rng):
     sig = Signal(random_signal(rng, 40, q=2))
     emb = nystrom_embed(sig, GaussianKernel(1.0), p=10)
     assert emb.rule == "stride"
-    np.testing.assert_array_equal(emb.Z, nystrom_embed(sig, GaussianKernel(1.0), p=10, rule="stride").Z)
+    stride = nystrom_embed(sig, GaussianKernel(1.0), p=10, rule="stride")
+    np.testing.assert_array_equal(emb.prefix_sum, stride.prefix_sum)
     assert nystrom_embed(Signal(random_signal(rng, 40)), GaussianKernel(1.0), p=10).rule == "grid"
 
 
@@ -436,7 +441,7 @@ def test_binseg_loss_lower_bounded_by_exact(n, q, ell, dmax, seed):
         spec = SumKernel.per_coordinate([GaussianKernel(1.0), LaplaceKernel(2.0)])
         emb = nystrom_embed(Signal(x), spec, p=12, rule="stride")
     res = binary_segmentation(emb, dmax, ell)
-    exact = kernseg_exact(Signal(emb.Z.T), LinearKernel(), dmax, ell)
+    exact = kernseg_exact(Signal(full_width_features(emb, x)[0].T), LinearKernel(), dmax, ell)
     for d, seg in enumerate(res.segmentations, start=1):
         if seg.d == d:  # once exhausted, binseg repeats its last one
             lb = exact.loss(d)
@@ -477,5 +482,6 @@ def test_approx_gram_psd(rng):
     x = random_signal(rng, 40)
     emb = nystrom_embed(Signal(x), GaussianKernel(1.0), p=9, rule="grid")
     idx = rng.choice(40, size=15, replace=False)
-    w = np.linalg.eigvalsh(emb.approx_gram(idx))
+    F = full_width_features(emb, x)[0][:, idx]
+    w = np.linalg.eigvalsh(F.T @ F)
     assert w[0] >= -1e-8 * max(w[-1], 1e-30)
