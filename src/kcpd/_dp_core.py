@@ -8,19 +8,16 @@ has not ruled out. It forms the same float sums as a full scan and keeps
 the first minimum, so L and back are bitwise those of the unpruned
 minimisation.
 
-Infeasible dynamic-programming cells hold the finite sentinel BIG rather
-than inf, so the candidate sums L[r-1, s] + cost(s, e) and the ``Snip``
-pruning thresholds derived from L stay finite: a comparison against an
-infeasible cell is an ordinary float comparison, and no inf - inf turns
-into a NaN.
+Infeasible dynamic-programming cells hold inf. The minimisation only adds
+finite costs to entries of L and compares the sums, so an infeasible
+candidate loses to every feasible one at any magnitude. Code here must
+never subtract two entries of L: inf - inf is NaN, and a NaN in the table
+would win or lose comparisons at random.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BIG = 1e300
-BIG_CUTOFF = 1e250
 
 
 def back_dtype(n: int) -> np.dtype:

@@ -11,6 +11,7 @@ input produce byte-identical JSON once that key is dropped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .kernels import (
     SumKernel,
     mad_scale,
 )
-from .lowrank import binary_segmentation, embedding_table_bytes, nystrom_embed
+from .lowrank import LANDMARKS, binary_segmentation, embedding_table_bytes, nystrom_embed
 from .model_selection import PenaltySpec, check_slope_dmax, select, slope_heuristic
 from .simulate import FoldedPiece, NormalPiece, equally_spaced_changes, generate
 
@@ -43,8 +44,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
-# landmark count of the fast path when none is given
-LANDMARKS = 100
 # change points in the benchmark signal, which so needs one point more than that
 _BENCH_CHANGES = 9
 
@@ -150,38 +149,31 @@ def save_csv(signal: Signal, path: str) -> None:
 # kernel construction
 
 
-# --kernel name -> (class, its build_kernel arguments in order); sum is per-coordinate
+# --kernel name -> class; a class's fields name the flags it reads and its
+# JSON keys. The sum is built per coordinate from its --sum-child family.
 _FAMILIES = {
-    "linear": (LinearKernel, ()),
-    "gaussian": (GaussianKernel, ("delta",)),
-    "laplace": (LaplaceKernel, ("delta",)),
-    "exponential": (ExponentialKernel, ("delta",)),
-    "energy": (EnergyKernel, ("alpha", "x0")),
-    "sum": (SumKernel, ()),
+    "linear": LinearKernel,
+    "gaussian": GaussianKernel,
+    "laplace": LaplaceKernel,
+    "exponential": ExponentialKernel,
+    "energy": EnergyKernel,
+    "sum": SumKernel,
 }
 
 
-def build_kernel(family: str, delta: float, alpha: float, x0, q: int, sum_child: str) -> KernelSpec:
-    family = family.lower()
-    if family == "sum":
-        if sum_child.lower() == "sum":
-            raise ValueError(f"sum kernel child family {sum_child!r} cannot itself be a sum")
-        child = build_kernel(sum_child, delta, alpha, None, 1, sum_child)
-        return SumKernel.per_coordinate([child] * q)
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
-    cls, names = _FAMILIES[family]
-    args = {"delta": delta, "alpha": alpha, "x0": x0}
-    return cls(*(args[a] for a in names))
+def build_kernel(family: str, delta: float, alpha: float, x0) -> KernelSpec:
+    """The kernel of a family other than sum, from the flags its fields name."""
+    cls, args = _FAMILIES[family], {"delta": delta, "alpha": alpha, "x0": x0}
+    return cls(**{f.name: args[f.name] for f in dataclasses.fields(cls)})
 
 
 def _kernel_doc(spec: KernelSpec) -> dict:
     if isinstance(spec, SumKernel):
         return {"family": "sum",
                 "children": [{"coordinates": list(idxs), **_kernel_doc(s)} for idxs, s in spec.children]}
-    for family, (cls, names) in _FAMILIES.items():
+    for family, cls in _FAMILIES.items():
         if isinstance(spec, cls):
-            return {"family": family, **{a: getattr(spec, a) for a in names}}
+            return {"family": family, **{f.name: getattr(spec, f.name) for f in dataclasses.fields(cls)}}
     return {"family": spec.__class__.__name__}
 
 
@@ -451,20 +443,18 @@ def _check_flags(*checks) -> None:
 
 
 def _cmd_segment(args) -> int:
-    # the flags the selected family uses, directly or as every coordinate of a sum
-    uses = _FAMILIES[args.sum_child if args.kernel == "sum" else args.kernel][1]
-    _check_flags(
-        ("--delta", args.delta, "delta" not in uses or 0 < args.delta < math.inf,
-         "a finite positive number"),
-        ("--alpha", args.alpha, "alpha" not in uses or 0 < args.alpha < 2,
-         "in (0, 2) for the energy kernel"),
-        # a sum's energy children take no anchor, so only --kernel energy reads --x0
-        ("--x0", args.x0, args.kernel != "energy" or args.x0 is None or all(map(math.isfinite, args.x0)),
-         "finite numbers for the energy kernel"),
-        ("--landmarks", args.landmarks, args.landmarks is None or args.landmarks >= 1, "at least 1"),
-    )
+    # the selected family, or the sum's child family, checks the flags it
+    # reads; a sum's energy children take no anchor, so only --kernel energy
+    # reads --x0
+    family = args.sum_child if args.kernel == "sum" else args.kernel
+    try:
+        spec = build_kernel(family, args.delta, args.alpha, args.x0 if args.kernel == "energy" else None)
+    except ValueError as exc:
+        raise InputError(f"--{exc}") from exc
+    _check_flags(("--landmarks", args.landmarks, args.landmarks is None or args.landmarks >= 1, "at least 1"))
     signal = load_csv(args.input)
-    spec = build_kernel(args.kernel, args.delta, args.alpha, args.x0, signal.q, args.sum_child)
+    if args.kernel == "sum":
+        spec = SumKernel.per_coordinate([spec] * signal.q)
     if args.algorithm == "exact" and (args.landmarks is not None or args.landmark_rule is not None):
         print("note: landmark options are ignored on the exact path", file=sys.stderr)
     doc = run_segment(

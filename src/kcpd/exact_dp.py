@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _dp_core
-from ._dp_core import BIG, BIG_CUTOFF, back_dtype
+from ._dp_core import back_dtype
 from .kernels import KernelSpec, Signal, as_signal
 
 __all__ = [
@@ -167,9 +167,9 @@ class DPResult:
     """Loss table and backpointers from a segment-neighborhood solve.
 
     ``loss(D)`` is the optimal total cost of splitting the whole signal
-    into D segments (inf when infeasible under the minimum length), and
-    ``backtrack(D)`` reconstructs an attaining segmentation, smallest
-    boundary indices on ties.
+    into D segments, and ``backtrack(D)`` reconstructs an attaining
+    segmentation, smallest boundary indices on ties. Every D <= dmax fits
+    under the minimum length: the solver checks that before it runs.
     """
 
     def __init__(self, L, back, n, dmax, ell, table_numbers, cells_scanned):
@@ -190,18 +190,14 @@ class DPResult:
         d = _size(d, "D")
         if not (1 <= d <= self.dmax):
             raise ValueError(f"D must lie in 1..{self.dmax}, got {d}")
-        v = self._L[d - 1, self.n]
-        return math.inf if v >= BIG_CUTOFF else float(v)
+        return float(self._L[d - 1, self.n])
 
     def losses(self) -> np.ndarray:
-        """Losses for D = 1..Dmax; infeasible entries are inf."""
-        out = self._L[:, self.n].astype(np.float64)
-        out[out >= BIG_CUTOFF] = np.inf
-        return out
+        """Losses for D = 1..Dmax."""
+        return self._L[:, self.n].copy()
 
     def backtrack(self, d: int) -> Segmentation:
-        if not math.isfinite(self.loss(d)):  # loss(d) checks the range of d
-            raise ValueError(f"no segmentation with {d} segments of length >= {self.ell}")
+        self.loss(d)  # checks the range of d
         starts, e = [1] * d, self.n
         for r in range(d - 1, 0, -1):
             e = int(self._back[r, e])
@@ -258,7 +254,7 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     n = sig.n
     check_feasible(n, dmax, ell)
 
-    L = np.full((dmax, n + 1), BIG)
+    L = np.full((dmax, n + 1), np.inf)
     back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
 
     # an overflowing kernel trips numpy warnings on its way to the

@@ -194,7 +194,7 @@ class _Bandwidth(KernelSpec):
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"bandwidth must be a positive real, got {self.delta!r}")
+            raise ValueError(f"delta must be a finite positive number, got {self.delta!r}")
 
     def _exp(self, r: np.ndarray) -> np.ndarray:
         # exp(-r / delta) in place; with _root, r is first replaced by sqrt(r)
@@ -270,11 +270,11 @@ class EnergyKernel(KernelSpec):
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
-            raise ValueError(f"exponent must lie in (0, 2), got {self.alpha!r}")
+            raise ValueError(f"alpha must be in (0, 2) for the energy kernel, got {self.alpha!r}")
         if self.x0 is not None:
             anchor = tuple(float(v) for v in np.atleast_1d(np.asarray(self.x0, dtype=np.float64)))
             if not all(math.isfinite(v) for v in anchor):
-                raise ValueError("anchor point must be finite")
+                raise ValueError(f"x0 must be finite numbers for the energy kernel, got {self.x0!r}")
             object.__setattr__(self, "x0", anchor)
 
     def check_dim(self, q: int) -> None:

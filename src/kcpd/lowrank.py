@@ -36,6 +36,8 @@ __all__ = [
 
 # relative eigenvalue cutoff for the landmark pseudo-inverse
 EIG_DROP = 1e-10
+# landmark count when none is given
+LANDMARKS = 100
 
 
 # columns per chunk of a best_split scan, which holds a few vectors of this
@@ -129,8 +131,6 @@ def _grid_points(X: np.ndarray, p: int) -> np.ndarray:
 
 
 def _stride_indices(n: int, p: int) -> np.ndarray:
-    if p > n:
-        raise ValueError(f"cannot take {p} stride landmarks from {n} points")
     step = -(-n // p)  # ceil(n / p)
     return np.arange(0, n, step)
 
@@ -151,7 +151,7 @@ def _block_map(spec: KernelSpec, cols: list[int] | None, landmarks: np.ndarray,
     return _BlockMap(spec, cols, landmarks, scaled.T), dropped
 
 
-def nystrom_embed(signal, spec: KernelSpec, p: int = 100, rule: str | None = None,
+def nystrom_embed(signal, spec: KernelSpec, p: int = LANDMARKS, rule: str | None = None,
                   points: np.ndarray | None = None) -> Embedding:
     """Landmark embedding of a signal under a kernel.
 

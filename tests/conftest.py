@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kcpd import DPResult, Segmentation, as_signal
-from kcpd._dp_core import BIG, back_dtype
+from kcpd._dp_core import back_dtype
 from kcpd.exact_dp import check_feasible, overflow_error
 
 
@@ -73,7 +73,7 @@ def naive_dp(signal, spec, dmax: int) -> DPResult:
         C = _direct_cost_table(sig, spec)
     if not np.isfinite(C).all():
         raise overflow_error(spec, "segment cost table")
-    L = np.full((dmax, n + 1), BIG)
+    L = np.full((dmax, n + 1), np.inf)
     back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
     L[0, 1:] = C[0, 1:]
     cells = 0

@@ -1,24 +1,37 @@
-"""The package surface: what ``kcpd`` exports, and how sizes are checked."""
+"""The package surface: what ``kcpd`` exports, and how sizes and inputs are checked."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
 
 import kcpd
 from kcpd import (
+    EnergyKernel,
+    FoldedPiece,
     GaussianKernel,
+    KernelSpec,
+    LinearKernel,
+    NormalPiece,
     PenaltySpec,
+    Segmentation,
     Signal,
+    SumKernel,
     best_split,
     binary_segmentation,
     count_segmentations,
+    energy_distance,
+    generate,
     kernseg_exact,
     log_count_segmentations,
     nystrom_embed,
     penalty,
+    piecewise_mean_fit,
+    select,
+    slope_heuristic,
 )
-from kcpd.cli import run_segment
+from kcpd.cli import _kernel_doc, run_segment
 
 SUBMODULES = ["exact_dp", "kernels", "lowrank", "metrics", "model_selection", "simulate"]
 
@@ -92,3 +105,67 @@ def test_numpy_integer_sizes_are_accepted():
     assert log_count_segmentations(hundred, three, two) == log_count_segmentations(100, 3, 2)
     spec = PenaltySpec(1.0, 1.0, 100, 10)
     assert penalty(three, spec) == penalty(3, spec)
+
+
+# input checks no other test reaches: (call, exception type, message)
+INPUT_CHECKS = {
+    "Signal-3d": (lambda: Signal(np.zeros((2, 2, 2))), ValueError,
+                  "signal data must be 1- or 2-dimensional"),
+    "pair-2d": (lambda: _SPEC.pair(np.zeros((2, 2)), np.zeros((2, 2))), ValueError, "expected a q-vector"),
+    "KernelSpec.diag": (lambda: KernelSpec().diag(_X.data), NotImplementedError, ""),
+    "KernelSpec._gram": (lambda: KernelSpec()._gram(_X.data, _X.data, None), NotImplementedError, ""),
+    "kernseg_exact-anchor": (lambda: kernseg_exact(_X, EnergyKernel(1.0, (0.0, 0.0)), dmax=2), ValueError,
+                             "anchor has dimension 2, data has 1"),
+    "SumKernel-empty": (lambda: SumKernel((((), _SPEC),)), ValueError, "child coordinate set is empty"),
+    "SumKernel-negative": (lambda: SumKernel((((-1,), _SPEC),)), ValueError,
+                           "coordinate indices must be nonnegative"),
+    "SumKernel-child": (lambda: SumKernel((((0,), "gaussian"),)), TypeError, "child is not a kernel"),
+    "energy_distance-alpha": (lambda: energy_distance(_X, _X, alpha=2.0), ValueError,
+                              "exponent must lie in (0, 2), got 2.0"),
+    "energy_distance-dim": (lambda: energy_distance(np.zeros(3), np.zeros((3, 2))), ValueError,
+                            "dimension mismatch: 1 vs 2"),
+    "nystrom_embed-points": (lambda: nystrom_embed(np.zeros((10, 2)), _SPEC, points=np.zeros((3, 3))),
+                             ValueError, "landmark dimension 3 does not match q=2"),
+    "nystrom_embed-rule": (lambda: nystrom_embed(_X, _SPEC, p=20, rule="random"), ValueError,
+                           "unknown landmark rule 'random'"),
+    "piecewise_mean_fit-q": (lambda: piecewise_mean_fit(np.zeros((4, 2)), Segmentation((1,), 4)), ValueError,
+                             "piecewise mean fit expects a single coordinate"),
+    "piecewise_mean_fit-n": (lambda: piecewise_mean_fit(np.zeros(5), Segmentation((1,), 4)), ValueError,
+                             "signal length 5 does not match segmentation over 4"),
+    "penalty-0": (lambda: penalty(0, PenaltySpec(1.0, 1.0, 100, 10)), ValueError, "d must be positive, got 0"),
+    "slope_heuristic-inf": (lambda: slope_heuristic([10.0] * 9 + [np.inf], 100), ValueError,
+                            "losses in the calibration window must be finite"),
+    "select-count": (lambda: select(np.ones(5), PenaltySpec(1.0, 1.0, 100, 10)), ValueError,
+                     "expected 10 losses, got 5"),
+    "FoldedPiece-nan": (lambda: FoldedPiece(np.nan, 1.0), ValueError,
+                        "center must be finite and spread nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", INPUT_CHECKS.values(), ids=list(INPUT_CHECKS))
+def test_input_checks(call, kind, message):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sum_kernel_gram_writes_into_out():
+    spec = SumKernel.per_coordinate([_SPEC, LinearKernel()])
+    X = np.random.default_rng(3).normal(size=(5, 2))
+    out = np.empty((5, 5))
+    assert spec._gram(X, X, out) is out
+    assert out.tobytes() == spec.gram(X).tobytes()
+
+
+def test_generate_adds_the_leading_start():
+    specs = [[NormalPiece(0.0, 1.0)], [NormalPiece(3.0, 1.0)]]
+    a, b = generate(100, [51], specs, seed=4), generate(100, [1, 51], specs, seed=4)
+    assert a.truth == b.truth
+    assert a.signal.data.tobytes() == b.signal.data.tobytes()
+    assert a.means.tobytes() == b.means.tobytes()
+
+
+def test_kernel_doc_names_an_unlisted_kernel():
+    class Plain(KernelSpec):
+        pass
+
+    assert _kernel_doc(Plain()) == {"family": "Plain"}

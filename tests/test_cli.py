@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kcpd import GaussianKernel, LinearKernel, Signal, cli, lowrank, segment_cost_direct
+from kcpd import GaussianKernel, LinearKernel, Signal, SumKernel, cli, lowrank, segment_cost_direct
 from kcpd.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -508,6 +508,23 @@ def test_exact_path_warns_about_landmark_flags(tmp_path, capsys):
     assert "ignored" not in capsys.readouterr().err
 
 
+def test_landmark_rule_flag(tmp_path, capsys):
+    one, two, out = (str(tmp_path / name) for name in ("one.csv", "two.csv", "o.json"))
+    for path, tracks in ((one, "1"), (two, "2")):
+        assert main(["simulate", "--output", path, "--n", "200", "--num-changes", "3",
+                     "--tracks", tracks]) == EXIT_OK
+    seg = ["segment", "--dmax", "10", "--output", out]
+    for flags, rule in (([], "grid"), (["--landmark-rule", "stride"], "stride")):
+        assert main([*seg, "--input", one, "--algorithm", "lowrank-binseg", *flags]) == EXIT_OK
+        assert json.loads(open(out).read())["diagnostics"]["lowrank"]["rule"] == rule
+    capsys.readouterr()
+    rc = main([*seg, "--input", two, "--algorithm", "lowrank-binseg", "--landmark-rule", "grid"])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: grid landmarks need one coordinate per kernel block\n"
+    assert main([*seg, "--input", one, "--landmark-rule", "stride"]) == EXIT_OK
+    assert capsys.readouterr().err == "note: landmark options are ignored on the exact path\n"
+
+
 def test_simulate_then_segment(tmp_path):
     sig_path = str(tmp_path / "sim.csv")
     truth_path = str(tmp_path / "truth.json")
@@ -628,14 +645,12 @@ def test_sum_kernel_cli(tmp_path):
 
 def test_build_kernel_families():
     for fam in _FAMILIES:  # the --kernel choices
-        spec = build_kernel(fam, 1.0, 1.0, None, 1, "gaussian")
+        if fam == "sum":  # built per coordinate from its child family
+            spec = SumKernel.per_coordinate([build_kernel("gaussian", 1.0, 1.0, None)])
+        else:
+            spec = build_kernel(fam, 1.0, 1.0, None)
         assert spec.pair(0.5, 0.5) == pytest.approx(spec.pair(0.5, 0.5))
         assert _kernel_doc(spec)["family"] == fam
-    with pytest.raises(ValueError, match="'nope'"):
-        build_kernel("nope", 1.0, 1.0, None, 1, "gaussian")
-    # a sum of sums would recurse without end
-    with pytest.raises(ValueError, match="child family 'sum'"):
-        build_kernel("sum", 1.0, 1.0, None, 2, "sum")
 
 
 def test_bench_rows_and_budget(capsys):
@@ -695,6 +710,12 @@ def test_bench_grid_lengths_fit_the_benchmark_signal(capsys):
     err = capsys.readouterr().err
     assert "grid length 5" in err and "9 changes" in err and "at least 10" in err
     assert "num_changes" not in err
+
+
+def test_bench_refuses_an_unknown_algorithm(capsys):
+    # the warm-up runs each algorithm first, so no cell is estimated or timed
+    assert main(["bench", "--grid", "200", "--algorithms", "foo", "--dmax", "5"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr() == ("", "error: unknown algorithm 'foo'\n")
 
 
 def test_bench_grid_must_be_sorted():

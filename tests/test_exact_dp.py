@@ -747,7 +747,7 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
         want = naive_dp(sig, spec, dmax)
         C = _direct_cost_table(sig, spec)
         for prune, switch in runs:
-            L = np.full((dmax, n + 1), _dp_core.BIG)
+            L = np.full((dmax, n + 1), np.inf)
             back = np.zeros((dmax, n + 1), dtype=_dp_core.back_dtype(n))
             with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
                 snip = _dp_core.Snip(n, dmax, float(spec.diag(sig.data).sum()), prune)
@@ -829,3 +829,17 @@ def test_both_engines_reject_an_overflowing_linear_kernel(engine, what):
     sig = Signal([1e200, -1e200, 3e200, 2e200])
     with pytest.raises(ValueError, match=rf"LinearKernel\(\) gives a non-finite {what}"):
         engine(sig, LinearKernel(), 2)
+
+
+@pytest.mark.parametrize("k", [420, 500])
+@pytest.mark.parametrize("ell", [1, 4])
+def test_huge_finite_losses_keep_the_whole_sweep(k, ell):
+    # scaling by 2^k scales every cost by 2^(2k) exactly, so the sweep must
+    # make the same choices; at 2^500 the losses pass 1e300 on their own
+    x = np.concatenate([np.random.default_rng(1).normal(0.0, 1.0, 60),
+                        np.random.default_rng(2).normal(5.0, 1.0, 60)])
+    unit = kernseg_exact(Signal(x), LinearKernel(), 8, ell)
+    big = kernseg_exact(Signal(x * 2.0**k), LinearKernel(), 8, ell)
+    assert np.array_equal(big.losses(), unit.losses() * 2.0**(2 * k))
+    assert [big.backtrack(d) for d in range(1, 9)] == [unit.backtrack(d) for d in range(1, 9)]
+    assert big.cells_scanned == unit.cells_scanned
