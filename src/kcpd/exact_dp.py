@@ -164,7 +164,7 @@ def cost_columns(signal: Signal, spec: KernelSpec, diag: np.ndarray,
 
 
 class DPResult:
-    """Loss table and backpointers from a segment-neighborhood solve.
+    """Losses and backpointers from a segment-neighborhood solve.
 
     ``loss(D)`` is the optimal total cost of splitting the whole signal
     into D segments, and ``backtrack(D)`` reconstructs an attaining
@@ -172,17 +172,17 @@ class DPResult:
     under the minimum length: the solver checks that before it runs.
     """
 
-    def __init__(self, L, back, n, dmax, ell, table_numbers, cells_scanned):
-        self._L = L
+    def __init__(self, losses, back, n, dmax, table_numbers, cells_scanned):
+        # the loss table's last column, D = 1..dmax
+        self._losses = losses
         self._back = back
         self.n = n
         self.dmax = dmax
-        self.ell = ell
         # persistent table allocation, in float64-equivalents (bytes / 8)
         self.table_numbers = table_numbers
         # (row, start) candidates the minimisation evaluated
         self.cells_scanned = cells_scanned
-        self._L.setflags(write=False)
+        self._losses.setflags(write=False)
         if self._back is not None:
             self._back.setflags(write=False)
 
@@ -190,11 +190,11 @@ class DPResult:
         d = _size(d, "D")
         if not (1 <= d <= self.dmax):
             raise ValueError(f"D must lie in 1..{self.dmax}, got {d}")
-        return float(self._L[d - 1, self.n])
+        return float(self._losses[d - 1])
 
     def losses(self) -> np.ndarray:
         """Losses for D = 1..Dmax."""
-        return self._L[:, self.n].copy()
+        return self._losses.copy()
 
     def backtrack(self, d: int) -> Segmentation:
         self.loss(d)  # checks the range of d
@@ -254,7 +254,6 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     n = sig.n
     check_feasible(n, dmax, ell)
 
-    L = np.full((dmax, n + 1), np.inf)
     back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
 
     # an overflowing kernel trips numpy warnings on its way to the
@@ -262,25 +261,31 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     with np.errstate(over="ignore", invalid="ignore"):
         # a unit diagonal stays the kernel's read-only view: no n floats
         diag = spec.diag(sig.data)
-        snip = _dp_core.Snip(n, dmax, float(diag.sum()), spec.psd)
+        snip = _dp_core.Snip(n, dmax, ell, float(diag.sum()), spec.psd)
         for e, col in cost_columns(sig, spec, diag, ell):
-            _dp_core.column_step(L, back, col, e, ell, dmax, snip)
+            _dp_core.column_step(back, col, e, ell, dmax, snip)
 
-    table_numbers = kernseg_table_bytes(n, dmax, spec.psd) / 8.0
-    return DPResult(L, back, n, dmax, ell, table_numbers, snip.scanned)
+    # the loss table as the sweep held it, in place of the whole one counted
+    table_bytes = kernseg_table_bytes(n, dmax, spec.psd) - 8 * dmax * (n + 1) + snip.loss_bytes()
+    return DPResult(snip.column(n), back, n, dmax, table_bytes / 8.0, snip.scanned)
 
 
 def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
-    """Bytes :func:`kernseg_exact` allocates for its persistent tables.
+    """Bytes :func:`kernseg_exact` may allocate for its persistent tables.
 
-    L and back; the diagonal, and :func:`cost_columns`' A and comp, of n
-    floats each (a unit diagonal is a view that holds none, so for Gaussian
-    and Laplace kernels the count is a bound); its scratch column of n + 1;
-    and the minimiser's dense row buffer of n + 1 floats (when dmax > 2)
-    or, for a PSD kernel, the larger of that row and the pruning lists at
-    their cap, as a sweep never holds both. A list entry counts 30 bytes:
-    the 13 it holds and the 17 of temporaries a scan or compaction holds
-    beside it."""
+    The whole loss table L, Dmax(n + 1) floats, and back; the diagonal, and
+    :func:`cost_columns`' A and comp, of n floats each (a unit diagonal is
+    a view that holds none, so for Gaussian and Laplace kernels the count
+    is a bound); its scratch column of n + 1; and the minimiser's dense row
+    buffer of n + 1 floats (when dmax > 2) or, for a PSD kernel, the larger
+    of that row and the pruning lists at their cap, as a sweep never holds
+    both. A list entry counts 30 bytes: the 13 it holds and the 17 of
+    temporaries a scan or compaction holds beside it.
+
+    This is the bound a run is checked against before it starts. A sweep
+    that keeps its lists to the end holds only row 0 of L and a window of
+    the other rows (:meth:`_dp_core.Snip.window_width`), and its result
+    counts those in place of the whole L."""
     back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser

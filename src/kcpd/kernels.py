@@ -474,7 +474,7 @@ def energy_distance(sample_a, sample_b, alpha: float = 1.0) -> float:
     identity energy == 2 * mmd^2 under the energy kernel holds at finite n.
     """
     if not (0.0 < alpha < 2.0):
-        raise ValueError(f"exponent must lie in (0, 2), got {alpha!r}")
+        raise ValueError(f"alpha must be in (0, 2) for the energy distance, got {alpha!r}")
     a, b = as_signal(sample_a), as_signal(sample_b)
     if a.q != b.q:
         raise ValueError(f"dimension mismatch: {a.q} vs {b.q}")

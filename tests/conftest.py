@@ -85,7 +85,27 @@ def naive_dp(signal, spec, dmax: int) -> DPResult:
             back[r, e] = i + r
             cells += cand.size
     table_numbers = (L.nbytes + (0 if back is None else back.nbytes) + C.nbytes) / 8.0
-    return DPResult(L, back, n, dmax, 1, table_numbers, cells)
+    return DPResult(L[:, n].copy(), back, n, dmax, table_numbers, cells)
+
+
+def loss_table(res: DPResult, columns) -> np.ndarray:
+    """A sweep's whole loss table, rebuilt from its back-pointers.
+
+    ``columns`` yields ``(e, column)`` with ``column[s]`` = C(s, e) for
+    s = 0..e-ell, as ``cost_columns`` does, from e = ell. Then L[0, e] =
+    C(0, e) and L[r, e] = L[r-1, back[r, e]] + C(back[r, e], e), the float
+    sum every engine forms, at each cell a segmentation reaches (e >= (r +
+    1) ell); the others hold inf. Where the engines agree on back, they
+    agree on these tables bit for bit.
+    """
+    L = np.full((res.dmax, res.n + 1), np.inf)
+    for e, col in columns:
+        ell = e + 1 - col.size
+        L[0, e] = col[0]
+        for r in range(1, min(e // ell, res.dmax)):
+            s = int(res._back[r, e])
+            L[r, e] = L[r - 1, s] + col[s]
+    return L
 
 
 def full_width_features(emb, X):

@@ -121,7 +121,7 @@ INPUT_CHECKS = {
                            "coordinate indices must be nonnegative"),
     "SumKernel-child": (lambda: SumKernel((((0,), "gaussian"),)), TypeError, "child is not a kernel"),
     "energy_distance-alpha": (lambda: energy_distance(_X, _X, alpha=2.0), ValueError,
-                              "exponent must lie in (0, 2), got 2.0"),
+                              "alpha must be in (0, 2) for the energy distance, got 2.0"),
     "energy_distance-dim": (lambda: energy_distance(np.zeros(3), np.zeros((3, 2))), ValueError,
                             "dimension mismatch: 1 vs 2"),
     "nystrom_embed-points": (lambda: nystrom_embed(np.zeros((10, 2)), _SPEC, points=np.zeros((3, 3))),

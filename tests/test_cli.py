@@ -665,7 +665,7 @@ def test_bench_rows_and_budget(capsys):
         assert doc["diagnostics"]["peak_table_bytes"] == r["peak_table_bytes"]
     skipped = run_bench([400], ["exact"], dmax=5, seed=1, memory_budget_bytes=10)
     assert skipped == []
-    # the skip check uses the byte count the cell reports
+    # the skip check's estimate bounds the byte count the cell reports
     capsys.readouterr()
     for r in rows:
         budget = r["peak_table_bytes"] - 1

@@ -27,7 +27,14 @@ from kcpd import (
 from kcpd import _dp_core
 from kcpd.exact_dp import kernseg_table_bytes
 
-from conftest import _direct_cost_table, best_by_enumeration, direct_cost_matrix, naive_dp, random_signal
+from conftest import (
+    _direct_cost_table,
+    best_by_enumeration,
+    direct_cost_matrix,
+    loss_table,
+    naive_dp,
+    random_signal,
+)
 
 KERNELS = [
     LinearKernel(),
@@ -412,7 +419,8 @@ def _sweep_case(case):
 
 
 def _traced_sweep(case, column=None):
-    """Run a _sweep_case under tracemalloc; returns (its peak, its Snip).
+    """Run a _sweep_case under tracemalloc; returns (its peak, its Snip,
+    its result).
 
     ``column(snip, run)`` stands in for each Snip.minimize call when given,
     with ``run()`` making the call."""
@@ -431,19 +439,18 @@ def _traced_sweep(case, column=None):
     tracemalloc.start()
     try:
         with mock.patch.object(_dp_core, "Snip", Traced):
-            kernseg_exact(sig, spec, dmax, ell)
+            res = kernseg_exact(sig, spec, dmax, ell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, snips[0]
+    return peak, snips[0], res
 
 
-def _allowance(case):
-    # the counted tables plus four columns of temporaries (row 1's
+def _allowance(res):
+    # the tables the sweep counts plus four columns of temporaries (row 1's
     # candidates, the cost column's lengths and suffix sums, a kernel
     # column's work, or list mode's block and chunk temporaries)
-    sig, spec, dmax, _ = _sweep_case(case)
-    return kernseg_table_bytes(sig.n, dmax, spec.psd) + 4 * 8 * (sig.n + 1)
+    return res.table_numbers * 8 + 4 * 8 * (res.n + 1)
 
 
 @pytest.mark.parametrize("spec, q", [(GaussianKernel(1.0), 1), (LaplaceKernel(0.7), 2)],
@@ -481,18 +488,31 @@ def test_unit_diagonal_sweep_holds_no_diagonal(rng, spec, q):
     (peak, tau, res), (held_peak, held_tau, held_res) = runs
     assert held_peak - peak >= 6 * n
     assert tau == held_tau
-    assert res._L.tobytes() == held_res._L.tobytes()
-    assert res._back.tobytes() == held_res._back.tobytes()
+    _assert_same_tables(res, held_res, sig, spec)
     assert (res.cells_scanned, res.table_numbers) == (held_res.cells_scanned, held_res.table_numbers)
 
 
 @pytest.mark.parametrize(
     "case", ["pruned-mean", "dense-exponential", "laplace-2d", "lists-compact", "lists-fallback"])
 def test_sweep_peak_within_counted_tables(case):
-    # the traced peak of a whole sweep
-    peak, snip = _traced_sweep(case)
-    assert peak <= _allowance(case)
-    assert snip.lists == (case in ("pruned-mean", "lists-compact"))
+    # the traced peak of a whole sweep, within the tables it counts. A sweep
+    # that keeps its lists holds and counts row 0 and a window of the other
+    # rows of the loss table, so its peak stays below the whole loss table
+    # alone; the others hold and count the whole table.
+    sig, spec, dmax, ell = _sweep_case(case)
+    n = sig.n
+    peak, snip, res = _traced_sweep(case)
+    assert peak <= _allowance(res)
+    whole = kernseg_table_bytes(n, dmax, spec.psd)
+    if case in ("pruned-mean", "lists-compact"):
+        assert snip.lists and snip.windowed()
+        width = _dp_core.Snip.window_width(n, dmax, ell, True)
+        assert snip.L.shape == (dmax, width) and snip.L0.shape == (n + 1,)
+        assert res.table_numbers * 8 == whole - 8 * dmax * (n + 1) + 8 * (n + 1 + dmax * width) < whole
+        assert peak < 8 * dmax * (n + 1)
+    else:
+        assert not snip.lists and not snip.windowed()
+        assert res.table_numbers * 8 == whole
 
 
 @pytest.mark.parametrize("case", ["lists-compact", "lists-fallback"])
@@ -512,11 +532,11 @@ def test_list_columns_peak_within_counted_tables(case):
         worst["compactions"] += not snip.lists or snip.tail != tail
         worst["share"] = max(worst["share"], share)
 
-    _traced_sweep(case, column)
+    res = _traced_sweep(case, column)[2]
     assert worst["compactions"] > 10
     # the second case holds its lists near their cap
     assert worst["share"] > (0.9 if case == "lists-fallback" else 0.05)
-    assert worst["peak"] <= _allowance(case)
+    assert worst["peak"] <= _allowance(res)
 
 
 @pytest.mark.parametrize("case", ["lists-compact", "lists-fallback"])
@@ -548,8 +568,9 @@ def test_list_layout_after_each_compaction(case):
 
 @pytest.mark.parametrize("case", ["dense-exponential", "laplace-2d"])
 def test_dense_sweep_makes_its_row_buffer_once(case):
-    # one buffer of n + 1 floats serves every dense column; a PSD sweep has
-    # none while it holds its lists (the second case leaves them mid-sweep)
+    # one buffer of n + 1 floats, from a 64-byte boundary on, serves every
+    # dense column; a PSD sweep has none while it holds its lists (the second
+    # case leaves them mid-sweep)
     n = _sweep_case(case)[0].n
     bufs, list_columns = [], 0
 
@@ -565,6 +586,7 @@ def test_dense_sweep_makes_its_row_buffer_once(case):
     _traced_sweep(case, column)
     assert len(bufs) > 1000 and (list_columns > 0) == (case == "laplace-2d")
     assert bufs[0].dtype == np.float64 and bufs[0].shape == (n + 1,)
+    assert bufs[0].ctypes.data % 64 == 0
     assert all(buf is bufs[0] for buf in bufs)
 
 
@@ -574,7 +596,7 @@ def test_sweep_runs_under_a_profiler():
     rng = np.random.default_rng(3)
     sig = Signal(rng.normal(size=300) + np.repeat(rng.uniform(-3, 3, 6), 50))
     profiled = cProfile.Profile().runcall(kernseg_exact, sig, GaussianKernel(1.0), 10)
-    _assert_same_tables(profiled, kernseg_exact(sig, GaussianKernel(1.0), 10))
+    _assert_same_tables(profiled, kernseg_exact(sig, GaussianKernel(1.0), 10), sig, GaussianKernel(1.0))
 
 
 def test_back_pointer_dtype_fits_n():
@@ -598,6 +620,17 @@ def test_minimiser_counts_its_row_and_lists():
         assert _dp_core.Snip.table_bytes(n, dmax, False) == row
         lists = 30 * (max(dmax - 2, 0) * (n + 1) // 10)
         assert _dp_core.Snip.table_bytes(n, dmax, True) == max(row, lists)
+        # list mode holds rows 1.. of the loss table as a window where that
+        # and row 0 take fewer losses than the whole table; no lists, no window
+        for ell in (1, 7, 30):
+            period = 15 + ell
+            width = max(period + ell, -(-3 * ell // period) * period - ell + 1)
+            held = width if dmax > 2 and n + 1 + dmax * width < dmax * (n + 1) else n + 1
+            assert _dp_core.Snip.window_width(n, dmax, ell, dmax > 2) == held
+            assert _dp_core.Snip.window_width(n, dmax, ell, False) == n + 1
+    # the benchmark's shapes: 17 columns at ell = 1, 75 at ell = 30
+    assert _dp_core.Snip.window_width(8000, 100, 1, True) == 17
+    assert _dp_core.Snip.window_width(12000, 12, 30, True) == 75
 
 
 def test_small_sweep_backtracks_like_naive(rng):
@@ -611,9 +644,14 @@ def test_small_sweep_backtracks_like_naive(rng):
 
 
 def test_result_arrays_read_only(rng):
-    res = kernseg_exact(Signal(random_signal(rng, 20)), GaussianKernel(1.0), dmax=4)
+    sig = Signal(random_signal(rng, 20))
+    res = kernseg_exact(sig, GaussianKernel(1.0), dmax=4)
+    # the result keeps the table's last column, read-only like back
+    assert loss_table(res, _columns(sig, GaussianKernel(1.0)))[:, 20].tobytes() == res.losses().tobytes()
     with pytest.raises(ValueError):
-        res._L[0, 0] = 1.0
+        res._losses[0] = 1.0
+    with pytest.raises(ValueError):
+        res._back[1, 20] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +676,12 @@ def _full_cells(n, dmax, ell):
     return total
 
 
-def _assert_same_tables(a, b):
-    assert np.array_equal(a._L, b._L)
+def _assert_same_tables(a, b, sig, spec, ell=1):
+    # the same back-pointers, and the whole loss table they rebuild from the
+    # cost columns has both sweeps' kept losses as its last column
     assert a._back is None and b._back is None or np.array_equal(a._back, b._back)
+    table = loss_table(a, _columns(sig, spec, ell))
+    assert table[:, sig.n].tobytes() == a.losses().tobytes() == b.losses().tobytes()
 
 
 # Forced switches from the candidate lists to the dense scan: compact every
@@ -696,7 +737,7 @@ def test_pruned_tables_equal_dense_bitwise(
     dense = kernseg_exact(sig, _dense_twin(family), dmax, ell)
     with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
         pruned = kernseg_exact(sig, family, dmax, ell)
-    _assert_same_tables(pruned, dense)
+    _assert_same_tables(pruned, dense, sig, family, ell)
     assert dense.cells_scanned == _full_cells(n, dmax, ell)
     assert pruned.cells_scanned <= dense.cells_scanned
 
@@ -720,7 +761,7 @@ def test_forced_switches_keep_tables_bitwise(switch):
         dense = kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell)
         with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
             pruned = kernseg_exact(Signal(x), spec, dmax, ell)
-        _assert_same_tables(pruned, dense)
+        _assert_same_tables(pruned, dense, Signal(x), spec, ell)
 
 
 SEAM_FAMILIES = [LinearKernel(), GaussianKernel(1.0), LaplaceKernel(1.0), ExponentialKernel(4.0),
@@ -746,15 +787,17 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
         dmax = int(rng.integers(2, min(n, 12) + 1))
         want = naive_dp(sig, spec, dmax)
         C = _direct_cost_table(sig, spec)
+        # naive_dp's whole table, rebuilt from its back-pointers
+        table = loss_table(want, ((e, C[:e, e]) for e in range(1, n + 1)))
+        assert table[:, n].tobytes() == want.losses().tobytes()
         for prune, switch in runs:
-            L = np.full((dmax, n + 1), np.inf)
             back = np.zeros((dmax, n + 1), dtype=_dp_core.back_dtype(n))
             with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
-                snip = _dp_core.Snip(n, dmax, float(spec.diag(sig.data).sum()), prune)
+                snip = _dp_core.Snip(n, dmax, 1, float(spec.diag(sig.data).sum()), prune)
                 for e in range(1, n + 1):
-                    _dp_core.column_step(L, back, C[:e, e].copy(), e, 1, dmax, snip)
-            assert L.tobytes() == want._L.tobytes()
+                    _dp_core.column_step(back, C[:e, e].copy(), e, 1, dmax, snip)
             assert back.tobytes() == want._back.tobytes()
+            assert snip.column(n).tobytes() == table[:, n].tobytes()
             if not prune:
                 dense = snip.scanned
             pruned += snip.scanned < dense
@@ -780,7 +823,7 @@ def test_pruning_engages_on_mean_shifts(case):
         spec = GaussianKernel(1.0)
     pruned = kernseg_exact(Signal(x), spec, dmax, ell)
     dense = kernseg_exact(Signal(x), _dense_twin(spec), dmax, ell)
-    _assert_same_tables(pruned, dense)
+    _assert_same_tables(pruned, dense, Signal(x), spec, ell)
     assert pruned.cells_scanned <= share * _full_cells(n, dmax, ell)
     assert pruned.cells_scanned == PINNED_CELLS[case]
 
@@ -798,7 +841,7 @@ def test_pruning_is_exact_under_cancellation(spec, scale, offset):
     dense = kernseg_exact(sig, _dense_twin(spec), 30)
     with mock.patch.multiple(_dp_core, **SWITCHES["eager"]):
         pruned = kernseg_exact(sig, spec, 30)
-    _assert_same_tables(pruned, dense)
+    _assert_same_tables(pruned, dense, sig, spec)
     assert pruned.cells_scanned < dense.cells_scanned
 
 
