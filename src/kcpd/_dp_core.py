@@ -46,7 +46,8 @@ def column_step(back, cbuf, e, ell, dmax, snip):
     """Update the loss table at column e >= ell from its cost column.
 
     ``cbuf[s]`` is C(s, e) for s = 0..e-ell, finite; ``snip`` is the
-    sweep's :class:`Snip`, which holds the table."""
+    sweep's :class:`Snip`, which holds the table. ``back[r - 1, e]`` takes
+    the start of the last segment of row r's minimum, for r >= 1."""
     snip.L0[e] = cbuf[0]
     d_hi = min(e // ell, dmax)
     if d_hi >= 2:
@@ -203,7 +204,7 @@ class Snip:
             v = np.add(prev, c, out=out)
             i = int(v.argmin())
             L[r, k] = v[i]
-            back[r, e] = i + lo
+            back[r - 1, e] = i + lo
             prev = L[r, lo:hi]
 
     def _block(self, back, cbuf, e, t0, hi, nr):
@@ -220,7 +221,7 @@ class Snip:
             v = L[1 + a : 1 + b, a0 : a0 + w] + c
             s = v.argmin(axis=1)
             L[2 + a : 2 + b, k] = v.ravel().take(s + np.arange(0, v.size, w))
-            back[2 + a : 2 + b, e] = s + t0
+            back[1 + a : 1 + b, e] = s + t0
 
     def _scan(self, back, cbuf, e, check):
         # every list row in one pass; its temporaries (values, a repeated
@@ -237,34 +238,43 @@ class Snip:
         win = mins <= L[2 : 2 + nr, k]
         first = first[win]
         L[2 : 2 + nr, k][win] = v[first]
-        back[2 : 2 + nr, e][win] = cs[first]
+        back[1 : 1 + nr, e][win] = cs[first]
         if check:
             # against the previous rows' losses at e, now final
             thr = L[1 : 1 + nr, k]
             self.gone |= v > (thr + (_REL_MARGIN * np.abs(thr) + self.tau)).repeat(cnt)
 
     def _compact(self, t0, hi, nr):
-        # drop the pruned starts, then insert t0..hi-1 at the end of each of
-        # rows 2..nr+1; each old list goes as its copy is made
+        # drop the pruned starts and put t0..hi-1 at the end of each of rows
+        # 2..nr+1: each row's kept entries go through a mask into its new
+        # place, then its kt new starts after them; each old list goes as
+        # its successor is made
         kt, keep = hi - t0, ~self.gone
         counts = np.zeros(nr, dtype=np.intp)
         counts[: self.st.size] = np.add.reduceat(keep, self.st)
         self.gone = None
-        if counts.sum() + nr * kt > self.cap:
+        size = int(counts.sum()) + nr * kt
+        if size > self.cap:
             if self.windowed():
                 self._widen(keep)
             self.lists, self.cs, self.lc = False, None, None
             self.row = _aligned_empty(self.L0.size)
             return
-        L, a0 = self.L, t0 - self.off
-        self.cs = self.cs[keep]
-        self.lc = self.lc[keep]
-        ends = np.repeat(np.cumsum(counts), kt)
-        self.cs = np.insert(self.cs, ends, np.tile(np.arange(t0, hi, dtype=np.int32), nr))
-        self.lc = np.insert(self.lc, ends, L[1 : 1 + nr, a0 : a0 + kt].ravel())
-        self.gone = np.zeros(self.cs.size, dtype=bool)
         self.cnt = counts + kt
         self.st = np.cumsum(self.cnt) - self.cnt
+        new = (self.st + counts).repeat(kt) + np.tile(np.arange(kt), nr)
+        kept_at = np.ones(size, dtype=bool)
+        kept_at[new] = False
+        L, a0 = self.L, t0 - self.off
+        lc = np.empty(size)
+        lc[kept_at] = self.lc[keep]
+        lc[new] = L[1 : 1 + nr, a0 : a0 + kt].ravel()
+        self.lc = lc
+        cs = np.empty(size, dtype=np.int32)
+        cs[kept_at] = self.cs[keep]
+        cs[new] = np.tile(np.arange(t0, hi, dtype=np.int32), nr)
+        self.cs = cs
+        self.gone = np.zeros(size, dtype=bool)
         self.tail = hi
         if self.windowed():
             # the window moves to start at the new tail; the columns it
@@ -277,13 +287,14 @@ class Snip:
     def _widen(self, keep):
         # the whole table for the dense scan: inf, then row 0, then each list
         # row's cached losses (list row r caches table row r - 1) at its live
-        # starts, then the window's columns
+        # starts, then the window's columns. The old row 0 goes once copied.
         n1 = self.L0.size
         full = np.full((self.L.shape[0], n1), np.inf)
         full[0] = self.L0
+        self.L0 = full[0]
         for i, (a, m) in enumerate(zip(self.st, self.cnt)):
             live = keep[a : a + m]
             full[1 + i, self.cs[a : a + m][live]] = self.lc[a : a + m][live]
         w = min(self.L.shape[1], n1 - self.off)
         full[1:, self.off : self.off + w] = self.L[1:, :w]
-        self.L, self.L0, self.off = full, full[0], 0
+        self.L, self.off = full, 0

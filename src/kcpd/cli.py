@@ -217,6 +217,17 @@ def run_segment(
 ) -> dict:
     """Segment a signal end to end and return the JSON-ready document."""
     t0 = time.perf_counter()
+    scaled, sigma = _prepare(signal, dmax, ell, scale, c1, c2)
+    return _segment(scaled, sigma, spec, t0, algorithm=algorithm, dmax=dmax, ell=ell, scale=scale,
+                    landmarks=landmarks, landmark_rule=landmark_rule, c1=c1, c2=c2)
+
+
+def _prepare(signal: Signal, dmax: int, ell: int, scale: bool,
+             c1: float | None, c2: float | None) -> tuple[Signal, np.ndarray]:
+    """Check the run's settings against the signal, then scale it.
+
+    Returns (scaled, sigma): a scaled copy and the factors, or with
+    ``scale`` off the signal itself and ones."""
     if (c1 is None) != (c2 is None):
         raise InputError("--c1 and --c2 must be given together, or neither for the slope fit")
     for flag, value in (("--c1", c1), ("--c2", c2)):
@@ -231,32 +242,37 @@ def run_segment(
     if c1 is None:
         # the slope fit's own refusal, before the engine runs for nothing
         check_slope_dmax(dmax)
+    if not scale:
+        return signal, np.ones(signal.q)
+    try:
+        return mad_scale(signal)
+    except ValueError as exc:
+        raise InputError(f"{exc}; --no-scale skips the scaling") from exc
 
-    if scale:
-        try:
-            scaled, sigma = mad_scale(signal)
-        except ValueError as exc:
-            raise InputError(f"{exc}; --no-scale skips the scaling") from exc
-    else:
-        scaled, sigma = signal, np.ones(signal.q)
 
+def _segment(scaled: Signal, sigma: np.ndarray, spec: KernelSpec, t0: float, *, algorithm: str,
+             dmax: int, ell: int, scale: bool, landmarks: int | None, landmark_rule: str | None,
+             c1: float | None, c2: float | None) -> dict:
+    """The document of one run on what :func:`_prepare` returned, timed
+    from ``t0``; the other arguments are :func:`run_segment`'s."""
+    n = scaled.n
     losses, segmentation, table_bytes, cells_scanned, lowrank_doc = _solve(
         scaled, spec, algorithm, dmax, ell, landmarks, landmark_rule)
     segmentations = [segmentation(d) for d in range(1, dmax + 1)]
 
     fit = None
     if c1 is None:
-        fit = slope_heuristic(losses, signal.n, ell)
-        pen = PenaltySpec(fit.c1, fit.c2, signal.n, dmax, ell)
+        fit = slope_heuristic(losses, n, ell)
+        pen = PenaltySpec(fit.c1, fit.c2, n, dmax, ell)
     else:
-        pen = PenaltySpec(c1, c2, signal.n, dmax, ell)
+        pen = PenaltySpec(c1, c2, n, dmax, ell)
     sel = select(losses, pen)
     wall = time.perf_counter() - t0
 
     doc = {
         "version": __version__,
-        "n": signal.n,
-        "q": signal.q,
+        "n": n,
+        "q": scaled.q,
         "kernel": _kernel_doc(spec),
         "algorithm": algorithm,
         "dmax": dmax,
@@ -457,18 +473,15 @@ def _cmd_segment(args) -> int:
         spec = SumKernel.per_coordinate([spec] * signal.q)
     if args.algorithm == "exact" and (args.landmarks is not None or args.landmark_rule is not None):
         print("note: landmark options are ignored on the exact path", file=sys.stderr)
-    doc = run_segment(
-        signal,
-        spec,
-        algorithm=args.algorithm,
-        dmax=args.dmax,
-        ell=args.min_seg_len,
-        scale=not args.no_scale,
-        landmarks=args.landmarks,
-        landmark_rule=args.landmark_rule,
-        c1=args.c1,
-        c2=args.c2,
-    )
+    # run_segment's steps, with the input dropped once scaled: the sweep
+    # reads only the scaled copy
+    t0 = time.perf_counter()
+    scale, ell = not args.no_scale, args.min_seg_len
+    scaled, sigma = _prepare(signal, args.dmax, ell, scale, args.c1, args.c2)
+    del signal
+    doc = _segment(scaled, sigma, spec, t0, algorithm=args.algorithm, dmax=args.dmax, ell=ell,
+                   scale=scale, landmarks=args.landmarks, landmark_rule=args.landmark_rule,
+                   c1=args.c1, c2=args.c2)
     _emit(json.dumps(doc, indent=2), args.output)
     return EXIT_OK
 

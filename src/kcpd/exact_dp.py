@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _dp_core
-from ._dp_core import back_dtype
+from ._dp_core import _aligned_empty, back_dtype
 from .kernels import KernelSpec, Signal, as_signal
 
 __all__ = [
@@ -116,11 +116,14 @@ def cost_columns(signal: Signal, spec: KernelSpec, diag: np.ndarray,
     overwrites. Raises ValueError if a column is not finite.
     """
     n = signal.n
-    A, comp = np.zeros(n), np.zeros(n)
-    A[0] = diag[0]
+    # every column stores into A, comp and the scratch, so all three start
+    # on 64-byte boundaries, as the minimiser's row buffer does; each step
+    # writes every entry it later reads but A[0] and comp[0]
+    A, comp = _aligned_empty(n), _aligned_empty(n)
+    A[0], comp[0] = diag[0], 0.0
     column_fn = spec.prefix_column_fn(signal.data)
     # the kernel column of each step, then the cost column it yields
-    buf = np.empty(n + 1)
+    buf = _aligned_empty(n + 1)
     # diag is 1.0 everywhere (Gaussian, Laplace): its suffix sums are the
     # segment lengths, exact integers, and need not be formed
     unit_diag = bool((diag == 1.0).all())
@@ -183,8 +186,7 @@ class DPResult:
         # (row, start) candidates the minimisation evaluated
         self.cells_scanned = cells_scanned
         self._losses.setflags(write=False)
-        if self._back is not None:
-            self._back.setflags(write=False)
+        self._back.setflags(write=False)
 
     def loss(self, d: int) -> float:
         d = _size(d, "D")
@@ -200,7 +202,7 @@ class DPResult:
         self.loss(d)  # checks the range of d
         starts, e = [1] * d, self.n
         for r in range(d - 1, 0, -1):
-            e = int(self._back[r, e])
+            e = int(self._back[r - 1, e])
             starts[r] = e + 1  # the internal start e, reported 1-based
         return Segmentation(tuple(starts), self.n)
 
@@ -254,7 +256,8 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     n = sig.n
     check_feasible(n, dmax, ell)
 
-    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
+    # row r - 1 holds the starts of the last segments of D = r + 1 >= 2
+    back = np.zeros((dmax - 1, n + 1), dtype=back_dtype(n))
 
     # an overflowing kernel trips numpy warnings on its way to the
     # non-finite cost that cost_columns reports
@@ -273,10 +276,12 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
 def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     """Bytes :func:`kernseg_exact` may allocate for its persistent tables.
 
-    The whole loss table L, Dmax(n + 1) floats, and back; the diagonal, and
-    :func:`cost_columns`' A and comp, of n floats each (a unit diagonal is
-    a view that holds none, so for Gaussian and Laplace kernels the count
-    is a bound); its scratch column of n + 1; and the minimiser's dense row
+    The whole loss table L, Dmax(n + 1) floats, and back, whose Dmax - 1
+    rows hold the starts for D >= 2 (D = 1 has none to hold); the diagonal,
+    and :func:`cost_columns`' A and comp, of n floats each (a unit diagonal
+    is a view that holds none, so for Gaussian and Laplace kernels the
+    count is a bound); its scratch column of n + 1, the three with the 7
+    spare floats each that align them; and the minimiser's dense row
     buffer of n + 1 floats (when dmax > 2) or, for a PSD kernel, the larger
     of that row and the pruning lists at their cap, as a sweep never holds
     both. A list entry counts 30 bytes: the 13 it holds and the 17 of
@@ -286,6 +291,6 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     that keeps its lists to the end holds only row 0 of L and a window of
     the other rows (:meth:`_dp_core.Snip.window_width`), and its result
     counts those in place of the whole L."""
-    back = dmax * (n + 1) * back_dtype(n).itemsize if dmax > 1 else 0
+    back = (dmax - 1) * (n + 1) * back_dtype(n).itemsize
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
-    return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + minimiser
+    return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + 3 * 7 * 8 + minimiser

@@ -322,9 +322,10 @@ def binary_segmentation(emb: Embedding, dmax: int, ell: int = 1) -> BinSegResult
     """Greedy nested segmentation, largest cost reduction first.
 
     Candidate splits live on a binary heap keyed by gain (ties broken by
-    smaller segment start); each committed split pushes the best splits of
-    its two children. Every segment enters the heap exactly once, so no
-    stale-candidate handling is needed.
+    smaller segment start); each committed split but the last pushes the
+    best splits of its two children, as no later pop reads the last one's.
+    Every segment enters the heap at most once, so no stale-candidate
+    handling is needed.
     """
     n = emb.n
     check_feasible(n, dmax, ell)
@@ -339,9 +340,10 @@ def binary_segmentation(emb: Embedding, dmax: int, ell: int = 1) -> BinSegResult
     starts = [1]
     segs = [Segmentation._trusted((1,), n)]
     losses = [embedded_segment_cost(emb, 0, n)]
-    push(0, n)
+    if dmax > 1:
+        push(0, n)
     exhausted = False
-    for _ in range(2, dmax + 1):
+    for d in range(2, dmax + 1):
         if not heap:
             exhausted = True
             segs.append(segs[-1])
@@ -351,6 +353,7 @@ def binary_segmentation(emb: Embedding, dmax: int, ell: int = 1) -> BinSegResult
         insort(starts, cand.split + 1)
         segs.append(Segmentation._trusted(tuple(starts), n))
         losses.append(losses[-1] - cand.gain)
-        push(cand.start, cand.split)
-        push(cand.split, cand.end)
+        if d < dmax:
+            push(cand.start, cand.split)
+            push(cand.split, cand.end)
     return BinSegResult(segmentations=tuple(segs), losses=np.asarray(losses), exhausted=exhausted)

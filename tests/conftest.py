@@ -8,6 +8,8 @@ check.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from itertools import combinations
 
 import numpy as np
@@ -74,7 +76,7 @@ def naive_dp(signal, spec, dmax: int) -> DPResult:
     if not np.isfinite(C).all():
         raise overflow_error(spec, "segment cost table")
     L = np.full((dmax, n + 1), np.inf)
-    back = np.zeros((dmax, n + 1), dtype=back_dtype(n)) if dmax > 1 else None
+    back = np.zeros((dmax - 1, n + 1), dtype=back_dtype(n))
     L[0, 1:] = C[0, 1:]
     cells = 0
     for r in range(1, dmax):
@@ -82,9 +84,9 @@ def naive_dp(signal, spec, dmax: int) -> DPResult:
             cand = L[r - 1, r:e] + C[r:e, e]
             i = int(np.argmin(cand))
             L[r, e] = cand[i]
-            back[r, e] = i + r
+            back[r - 1, e] = i + r
             cells += cand.size
-    table_numbers = (L.nbytes + (0 if back is None else back.nbytes) + C.nbytes) / 8.0
+    table_numbers = (L.nbytes + back.nbytes + C.nbytes) / 8.0
     return DPResult(L[:, n].copy(), back, n, dmax, table_numbers, cells)
 
 
@@ -93,7 +95,7 @@ def loss_table(res: DPResult, columns) -> np.ndarray:
 
     ``columns`` yields ``(e, column)`` with ``column[s]`` = C(s, e) for
     s = 0..e-ell, as ``cost_columns`` does, from e = ell. Then L[0, e] =
-    C(0, e) and L[r, e] = L[r-1, back[r, e]] + C(back[r, e], e), the float
+    C(0, e) and L[r, e] = L[r-1, s] + C(s, e) with s = back[r-1, e], the float
     sum every engine forms, at each cell a segmentation reaches (e >= (r +
     1) ell); the others hold inf. Where the engines agree on back, they
     agree on these tables bit for bit.
@@ -103,9 +105,24 @@ def loss_table(res: DPResult, columns) -> np.ndarray:
         ell = e + 1 - col.size
         L[0, e] = col[0]
         for r in range(1, min(e // ell, res.dmax)):
-            s = int(res._back[r, e])
+            s = int(res._back[r - 1, e])
             L[r, e] = L[r - 1, s] + col[s]
     return L
+
+
+@contextlib.contextmanager
+def quiet_collector():
+    """A full garbage collection, then none inside the block, for steady
+    tracemalloc peaks. A full collection empties the interpreter's free
+    lists, and the tuples that refill them count in a traced run's peak: up
+    to 12 KB more on about one exact sweep in three at n = 8000, by where
+    the collector's cycle falls."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def full_width_features(emb, X):

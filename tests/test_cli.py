@@ -31,6 +31,8 @@ from kcpd.cli import (
     save_csv,
 )
 
+from conftest import quiet_collector
+
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -414,6 +416,48 @@ def test_segment_roundtrip_exact(tmp_path, capsys):
     assert 0 < doc["diagnostics"]["dp_cells_scanned"] <= sum(
         (min(e, 12) - 1) * (e - 1) for e in range(2, 121)
     )
+
+
+def test_segment_holds_one_copy_of_the_signal(tmp_path):
+    # exact-2d-floor's shape, small. The input goes once it is scaled, so
+    # the command's traced peak stays within the tables it counts, one
+    # scaled copy of the signal (8 n q bytes), and one column (8 (n + 1)
+    # bytes, less than 8 n q) for what the count leaves out: the argument
+    # parser's objects, and the list mode's row 0 and window beside the
+    # table the sweep makes when it switches to the dense scan. Holding the
+    # input too would take 8 n q bytes more.
+    n, q = 4000, 2
+    inp, out = str(tmp_path / "var.csv"), str(tmp_path / "var.json")
+    assert main(["simulate", "--output", inp, "--n", str(n), "--num-changes", "4",
+                 "--kind", "variance", "--tracks", "2", "--seed", "1"]) == EXIT_OK
+    argv = ["segment", "--input", inp, "--kernel", "laplace", "--dmax", "12",
+            "--min-seg-len", "30", "--output", out]
+    with quiet_collector():
+        assert main(argv) == EXIT_OK  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    counted = json.loads(open(out).read())["diagnostics"]["peak_table_bytes"]
+    assert peak <= counted + 8 * n * q + 8 * (n + 1)
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+@pytest.mark.parametrize("scale", [True, False])
+def test_run_segment_leaves_the_signal_unchanged(tmp_path, algorithm, scale):
+    # the library path scales a copy; the command's JSON is run_segment's
+    sig = _bench_signal(300, 2)
+    data, before = sig.data, sig.data.copy()
+    doc = run_segment(sig, GaussianKernel(1.0), algorithm=algorithm, dmax=10, scale=scale)
+    assert sig.data is data and data.tobytes() == before.tobytes()
+    inp, out = str(tmp_path / "x.csv"), str(tmp_path / "x.json")
+    save_csv(sig, inp)
+    assert main(["segment", "--input", inp, "--output", out, "--algorithm", algorithm,
+                 "--dmax", "10"] + ([] if scale else ["--no-scale"])) == EXIT_OK
+    got = json.loads(open(out).read())
+    assert {**got, "timing": None} == {**doc, "timing": None}
 
 
 def test_dmax_one_single_segment(tmp_path):

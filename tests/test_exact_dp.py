@@ -33,6 +33,7 @@ from conftest import (
     direct_cost_matrix,
     loss_table,
     naive_dp,
+    quiet_collector,
     random_signal,
 )
 
@@ -132,16 +133,26 @@ def test_column_state_single_point_cost_is_exactly_zero(rng):
 
 
 def test_cost_columns_are_views_of_one_scratch(rng):
+    # the columns view n + 1 floats from a 64-byte boundary on, in a buffer
+    # of n + 8; A and comp swap names each step and stay the same two
+    # arrays of n floats, each from a 64-byte boundary on too
     n = 40
     sig = Signal(random_signal(rng, n, q=2))
     for spec in KERNELS:
         for ell in (1, 3):
-            scratch = None
-            for e, col in _columns(sig, spec, ell):
-                scratch = col.base if scratch is None else scratch
+            scratch, pairs = None, set()
+            columns = _columns(sig, spec, ell)
+            for e, col in columns:
+                if scratch is None:
+                    scratch, start = col.base, col.ctypes.data
                 assert col.base is scratch
-                assert col.ctypes.data == scratch.ctypes.data and col.shape == (e - ell + 1,)
-            assert scratch.shape == (n + 1,) and scratch.dtype == np.float64
+                assert col.ctypes.data == start and col.shape == (e - ell + 1,)
+                work = [columns.gi_frame.f_locals[name] for name in ("A", "comp")]
+                pairs.add(frozenset(map(id, work)))
+                assert all(a.shape == (n,) and a.ctypes.data % 64 == 0 for a in work)
+            assert scratch.shape == (n + 8,) and scratch.dtype == np.float64
+            assert start % 64 == 0 and 0 <= start - scratch.ctypes.data <= 56
+            assert len(pairs) == 1 and len(next(iter(pairs))) == 2
 
 
 def _reference_advance(A, comp, diag, kcol, e, compensate=True):
@@ -385,11 +396,12 @@ def test_naive_monotone(rng):
 
 
 def test_table_allocation_within_budget(rng):
-    # the last case prunes, so its candidate lists count at their cap
+    # the last case prunes, so its candidate lists count at their cap; the
+    # column work's three aligned arrays count 7 spare floats each
     for dmax, n in ((1, 30), (2, 40), (3, 25), (10, 120), (20, 400)):
         sig = Signal(random_signal(rng, n))
         res = kernseg_exact(sig, GaussianKernel(1.0), dmax=dmax)
-        assert res.table_numbers <= 2 * dmax * (n + 1) + 3 * (n + 1)
+        assert res.table_numbers <= 2 * dmax * (n + 1) + 3 * (n + 1) + 3 * 7
 
 
 def _sweep_case(case):
@@ -476,7 +488,7 @@ def test_unit_diagonal_sweep_holds_no_diagonal(rng, spec, q):
                 super().__init__(*args)
                 taus.append(self.tau)
 
-        with mock.patch.object(_dp_core, "Snip", Recorded):
+        with mock.patch.object(_dp_core, "Snip", Recorded), quiet_collector():
             kernseg_exact(sig, s, dmax)  # first-call allocations stay out
             tracemalloc.start()
             try:
@@ -604,9 +616,11 @@ def test_back_pointer_dtype_fits_n():
     for n, dtype in ((65535, np.uint16), (65536, np.int32)):
         assert _dp_core.back_dtype(n) == dtype
         for dmax, psd in ((2, False), (3, True), (100, True), (100, False)):
-            rest = 8 * dmax * (n + 1) + 8 * (4 * n + 1) + _dp_core.Snip.table_bytes(n, dmax, psd)
+            # the column work's three arrays each with 7 spare floats
+            rest = 8 * dmax * (n + 1) + 8 * (4 * n + 1 + 21) + _dp_core.Snip.table_bytes(n, dmax, psd)
             back = kernseg_table_bytes(n, dmax, psd) - rest
-            assert back == np.dtype(dtype).itemsize * dmax * (n + 1)
+            # no row for D = 1, which has no start to hold
+            assert back == np.dtype(dtype).itemsize * (dmax - 1) * (n + 1)
 
 
 def test_minimiser_counts_its_row_and_lists():
@@ -651,7 +665,7 @@ def test_result_arrays_read_only(rng):
     with pytest.raises(ValueError):
         res._losses[0] = 1.0
     with pytest.raises(ValueError):
-        res._back[1, 20] = 0
+        res._back[0, 20] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +693,7 @@ def _full_cells(n, dmax, ell):
 def _assert_same_tables(a, b, sig, spec, ell=1):
     # the same back-pointers, and the whole loss table they rebuild from the
     # cost columns has both sweeps' kept losses as its last column
-    assert a._back is None and b._back is None or np.array_equal(a._back, b._back)
+    assert np.array_equal(a._back, b._back)
     table = loss_table(a, _columns(sig, spec, ell))
     assert table[:, sig.n].tobytes() == a.losses().tobytes() == b.losses().tobytes()
 
@@ -791,7 +805,7 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
         table = loss_table(want, ((e, C[:e, e]) for e in range(1, n + 1)))
         assert table[:, n].tobytes() == want.losses().tobytes()
         for prune, switch in runs:
-            back = np.zeros((dmax, n + 1), dtype=_dp_core.back_dtype(n))
+            back = np.zeros((dmax - 1, n + 1), dtype=_dp_core.back_dtype(n))
             with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
                 snip = _dp_core.Snip(n, dmax, 1, float(spec.diag(sig.data).sum()), prune)
                 for e in range(1, n + 1):
