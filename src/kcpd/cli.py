@@ -335,6 +335,8 @@ def run_bench(
     """
     if sorted(grid) != list(grid):
         raise ValueError("benchmark grid must be sorted ascending")
+    if p_rule not in ("fixed", "sqrt"):
+        raise ValueError(f"unknown landmark count rule {p_rule!r}")
     if grid and grid[0] <= _BENCH_CHANGES:
         raise ValueError(f"benchmark grid length {grid[0]} is too short: the benchmark signal "
                               f"has {_BENCH_CHANGES} changes, so each length must be at least "

@@ -256,9 +256,6 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
     n = sig.n
     check_feasible(n, dmax, ell)
 
-    # row r - 1 holds the starts of the last segments of D = r + 1 >= 2
-    back = np.zeros((dmax - 1, n + 1), dtype=back_dtype(n))
-
     # an overflowing kernel trips numpy warnings on its way to the
     # non-finite cost that cost_columns reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,11 +263,12 @@ def kernseg_exact(signal, spec: KernelSpec, dmax: int, ell: int = 1) -> DPResult
         diag = spec.diag(sig.data)
         snip = _dp_core.Snip(n, dmax, ell, float(diag.sum()), spec.psd)
         for e, col in cost_columns(sig, spec, diag, ell):
-            _dp_core.column_step(back, col, e, ell, dmax, snip)
+            _dp_core.column_step(col, e, ell, dmax, snip)
 
     # the loss table as the sweep held it, in place of the whole one counted
-    table_bytes = kernseg_table_bytes(n, dmax, spec.psd) - 8 * dmax * (n + 1) + snip.loss_bytes()
-    return DPResult(snip.column(n), back, n, dmax, table_bytes / 8.0, snip.scanned)
+    held = snip.L0.nbytes + snip.L.nbytes
+    table_bytes = kernseg_table_bytes(n, dmax, spec.psd) - 8 * dmax * (n + 1) + held
+    return DPResult(snip.column(n), snip.back, n, dmax, table_bytes / 8.0, snip.scanned)
 
 
 def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
@@ -288,9 +286,9 @@ def kernseg_table_bytes(n: int, dmax: int, psd: bool) -> int:
     temporaries a scan or compaction holds beside it.
 
     This is the bound a run is checked against before it starts. A sweep
-    that keeps its lists to the end holds only row 0 of L and a window of
-    the other rows (:meth:`_dp_core.Snip.window_width`), and its result
-    counts those in place of the whole L."""
+    holds row D = 1 of L whole and the rows D >= 2 over at most the
+    columns from ell on (:meth:`_dp_core.Snip.window_width`), and its
+    result counts what it holds in place of the whole L."""
     back = (dmax - 1) * (n + 1) * back_dtype(n).itemsize
     minimiser = _dp_core.Snip.table_bytes(n, dmax, psd)
     return dmax * (n + 1) * 8 + back + 3 * n * 8 + (n + 1) * 8 + 3 * 7 * 8 + minimiser

@@ -31,7 +31,7 @@ from kcpd import (
     select,
     slope_heuristic,
 )
-from kcpd.cli import _kernel_doc, run_segment
+from kcpd.cli import _kernel_doc, run_bench, run_segment
 
 SUBMODULES = ["exact_dp", "kernels", "lowrank", "metrics", "model_selection", "simulate"]
 
@@ -128,6 +128,8 @@ INPUT_CHECKS = {
                              ValueError, "landmark dimension 3 does not match q=2"),
     "nystrom_embed-rule": (lambda: nystrom_embed(_X, _SPEC, p=20, rule="random"), ValueError,
                            "unknown landmark rule 'random'"),
+    "run_bench-p_rule": (lambda: run_bench([200], ["lowrank-binseg"], p_rule="sqrtt", dmax=5), ValueError,
+                         "unknown landmark count rule 'sqrtt'"),
     "piecewise_mean_fit-q": (lambda: piecewise_mean_fit(np.zeros((4, 2)), Segmentation((1,), 4)), ValueError,
                              "piecewise mean fit expects a single coordinate"),
     "piecewise_mean_fit-n": (lambda: piecewise_mean_fit(np.zeros(5), Segmentation((1,), 4)), ValueError,

@@ -423,8 +423,8 @@ def test_segment_holds_one_copy_of_the_signal(tmp_path):
     # the command's traced peak stays within the tables it counts, one
     # scaled copy of the signal (8 n q bytes), and one column (8 (n + 1)
     # bytes, less than 8 n q) for what the count leaves out: the argument
-    # parser's objects, and the list mode's row 0 and window beside the
-    # table the sweep makes when it switches to the dense scan. Holding the
+    # parser's objects, and the list mode's columns of the rows D >= 2
+    # beside those the sweep makes when it switches to the dense scan. Holding the
     # input too would take 8 n q bytes more.
     n, q = 4000, 2
     inp, out = str(tmp_path / "var.csv"), str(tmp_path / "var.json")

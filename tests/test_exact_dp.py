@@ -507,24 +507,46 @@ def test_unit_diagonal_sweep_holds_no_diagonal(rng, spec, q):
 @pytest.mark.parametrize(
     "case", ["pruned-mean", "dense-exponential", "laplace-2d", "lists-compact", "lists-fallback"])
 def test_sweep_peak_within_counted_tables(case):
-    # the traced peak of a whole sweep, within the tables it counts. A sweep
-    # that keeps its lists holds and counts row 0 and a window of the other
-    # rows of the loss table, so its peak stays below the whole loss table
-    # alone; the others hold and count the whole table.
+    # the traced peak of a whole sweep, within the tables it counts. Every
+    # sweep holds row D = 1 and the rows D >= 2 over its columns held, and
+    # counts those in place of the whole loss table. A sweep that keeps its
+    # lists holds only the columns since its last compaction, so its peak
+    # stays below the whole loss table alone; the others hold every column
+    # from ell on.
     sig, spec, dmax, ell = _sweep_case(case)
     n = sig.n
     peak, snip, res = _traced_sweep(case)
     assert peak <= _allowance(res)
     whole = kernseg_table_bytes(n, dmax, spec.psd)
+    width = snip.L.shape[1]
+    assert snip.L.shape == (dmax - 1, width) and snip.L0.shape == (n + 1,)
+    assert res.table_numbers * 8 == whole - 8 * dmax * (n + 1) + 8 * (n + 1) + 8 * (dmax - 1) * width
     if case in ("pruned-mean", "lists-compact"):
-        assert snip.lists and snip.windowed()
-        width = _dp_core.Snip.window_width(n, dmax, ell, True)
-        assert snip.L.shape == (dmax, width) and snip.L0.shape == (n + 1,)
-        assert res.table_numbers * 8 == whole - 8 * dmax * (n + 1) + 8 * (n + 1 + dmax * width) < whole
+        assert snip.lists and width == _dp_core.Snip.window_width(n, ell, True) < n + 1 - ell
+        assert res.table_numbers * 8 < whole
         assert peak < 8 * dmax * (n + 1)
     else:
-        assert not snip.lists and not snip.windowed()
-        assert res.table_numbers * 8 == whole
+        assert not snip.lists and width == n + 1 - ell
+
+
+def test_switch_to_dense_makes_only_the_rows_it_reads():
+    # leaving the lists makes the rows D >= 2 from column ell on, while row
+    # D = 1 stays as it is: the rise over the memory held at entry is that
+    # table and at most one column of temporaries
+    sig, _, dmax, ell = _sweep_case("laplace-2d")
+    n = sig.n
+    rises, widen = [], _dp_core.Snip._widen
+
+    def traced(self, keep):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        widen(self, keep)
+        rises.append(tracemalloc.get_traced_memory()[1] - held)
+
+    with mock.patch.object(_dp_core.Snip, "_widen", traced):
+        _traced_sweep("laplace-2d")
+    assert len(rises) == 1
+    assert rises[0] <= 8 * (dmax - 1) * (n + 1 - ell) + 8 * (n + 1)
 
 
 @pytest.mark.parametrize("case", ["lists-compact", "lists-fallback"])
@@ -626,7 +648,7 @@ def test_back_pointer_dtype_fits_n():
 def test_minimiser_counts_its_row_and_lists():
     # the dense rows' buffer, n + 1 floats when dmax > 2; a PSD sweep counts
     # the larger of it and the lists' cap of 30 bytes for each of a tenth of
-    # the cells of rows 2..
+    # the cells of rows D >= 3
     sizes = [(n, dmax) for n in range(1, 400) for dmax in range(1, min(n, 59) + 1)]
     sizes += [(n, dmax) for n in (1000, 8000, 12000, 65535, 65536, 100000) for dmax in range(1, 200)]
     for n, dmax in sizes:
@@ -634,17 +656,19 @@ def test_minimiser_counts_its_row_and_lists():
         assert _dp_core.Snip.table_bytes(n, dmax, False) == row
         lists = 30 * (max(dmax - 2, 0) * (n + 1) // 10)
         assert _dp_core.Snip.table_bytes(n, dmax, True) == max(row, lists)
-        # list mode holds rows 1.. of the loss table as a window where that
-        # and row 0 take fewer losses than the whole table; no lists, no window
+    # the rows D >= 2 of the loss table are held from column ell on; list
+    # mode holds at most the columns from its tail to its next compaction
+    for n in sorted({n for n, _ in sizes}):
         for ell in (1, 7, 30):
+            if ell > n:
+                continue
             period = 15 + ell
             width = max(period + ell, -(-3 * ell // period) * period - ell + 1)
-            held = width if dmax > 2 and n + 1 + dmax * width < dmax * (n + 1) else n + 1
-            assert _dp_core.Snip.window_width(n, dmax, ell, dmax > 2) == held
-            assert _dp_core.Snip.window_width(n, dmax, ell, False) == n + 1
+            assert _dp_core.Snip.window_width(n, ell, True) == min(width, n + 1 - ell)
+            assert _dp_core.Snip.window_width(n, ell, False) == n + 1 - ell
     # the benchmark's shapes: 17 columns at ell = 1, 75 at ell = 30
-    assert _dp_core.Snip.window_width(8000, 100, 1, True) == 17
-    assert _dp_core.Snip.window_width(12000, 12, 30, True) == 75
+    assert _dp_core.Snip.window_width(8000, 1, True) == 17
+    assert _dp_core.Snip.window_width(12000, 30, True) == 75
 
 
 def test_small_sweep_backtracks_like_naive(rng):
@@ -805,12 +829,11 @@ def test_column_step_on_direct_costs_is_naive_dp(family, q):
         table = loss_table(want, ((e, C[:e, e]) for e in range(1, n + 1)))
         assert table[:, n].tobytes() == want.losses().tobytes()
         for prune, switch in runs:
-            back = np.zeros((dmax - 1, n + 1), dtype=_dp_core.back_dtype(n))
             with mock.patch.multiple(_dp_core, **SWITCHES[switch]):
                 snip = _dp_core.Snip(n, dmax, 1, float(spec.diag(sig.data).sum()), prune)
                 for e in range(1, n + 1):
-                    _dp_core.column_step(back, C[:e, e].copy(), e, 1, dmax, snip)
-            assert back.tobytes() == want._back.tobytes()
+                    _dp_core.column_step(C[:e, e].copy(), e, 1, dmax, snip)
+            assert snip.back.tobytes() == want._back.tobytes()
             assert snip.column(n).tobytes() == table[:, n].tobytes()
             if not prune:
                 dense = snip.scanned
