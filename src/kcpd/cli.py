@@ -18,11 +18,12 @@ import os
 import sys
 import time
 import warnings
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .exact_dp import check_feasible, kernseg_exact, kernseg_table_bytes
+from .exact_dp import Segmentation, check_feasible, kernseg_exact, kernseg_table_bytes
 from .kernels import (
     EnergyKernel,
     ExponentialKernel,
@@ -181,25 +182,38 @@ def _kernel_doc(spec: KernelSpec) -> dict:
 # engines and the segment subcommand
 
 
+@dataclasses.dataclass(frozen=True)
+class Solved:
+    """What :func:`_solve` returns for either engine."""
+
+    losses: np.ndarray
+    segmentation: Callable[[int], Segmentation]
+    diagnostics: dict
+
+
 def _solve(signal: Signal, spec: KernelSpec, algorithm: str, dmax: int, ell: int,
-           landmarks: int | None, rule: str | None):
+           landmarks: int | None, rule: str | None) -> Solved:
     """Run one engine on an already scaled signal.
 
-    ``landmarks`` None means the fast path's default count, LANDMARKS.
-    Returns (losses, segmentation, table bytes, cells scanned, low-rank doc).
-    ``segmentation(d)`` backtracks on demand, so timing the engine never does;
-    cells scanned is None on the low-rank path, the doc None on the exact one.
+    ``landmarks`` None means the fast path's default count, LANDMARKS. The
+    record's ``segmentation(d)`` backtracks on demand, so timing the engine
+    never does. Its ``diagnostics``, the mapping the JSON prints, holds
+    ``peak_table_bytes``, ``dp_cells_scanned`` (None on the low-rank path)
+    and ``lowrank`` (None on the exact path), in that order.
     """
     if algorithm == "exact":
         res = kernseg_exact(signal, spec, dmax, ell)
-        return res.losses(), res.backtrack, int(res.table_numbers * 8), res.cells_scanned, None
+        return Solved(res.losses(), res.backtrack, {"peak_table_bytes": int(res.table_numbers * 8),
+                                                    "dp_cells_scanned": res.cells_scanned,
+                                                    "lowrank": None})
     if algorithm == "lowrank-binseg":
         p = LANDMARKS if landmarks is None else landmarks
         emb = nystrom_embed(signal, spec, p=min(p, signal.n), rule=rule)
         bres = binary_segmentation(emb, dmax, ell)
         doc = {"rank": emb.rank, "dropped": emb.dropped, "rule": emb.rule, "exhausted": bres.exhausted}
-        return (bres.losses, lambda d: bres.segmentations[d - 1],
-                embedding_table_bytes(signal.n, emb.rank), None, doc)
+        return Solved(bres.losses, lambda d: bres.segmentations[d - 1],
+                      {"peak_table_bytes": embedding_table_bytes(signal.n, emb.rank),
+                       "dp_cells_scanned": None, "lowrank": doc})
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -256,17 +270,16 @@ def _segment(scaled: Signal, sigma: np.ndarray, spec: KernelSpec, t0: float, *, 
     """The document of one run on what :func:`_prepare` returned, timed
     from ``t0``; the other arguments are :func:`run_segment`'s."""
     n = scaled.n
-    losses, segmentation, table_bytes, cells_scanned, lowrank_doc = _solve(
-        scaled, spec, algorithm, dmax, ell, landmarks, landmark_rule)
-    segmentations = [segmentation(d) for d in range(1, dmax + 1)]
+    sol = _solve(scaled, spec, algorithm, dmax, ell, landmarks, landmark_rule)
+    segmentations = [sol.segmentation(d) for d in range(1, dmax + 1)]
 
     fit = None
     if c1 is None:
-        fit = slope_heuristic(losses, n, ell)
+        fit = slope_heuristic(sol.losses, n, ell)
         pen = PenaltySpec(fit.c1, fit.c2, n, dmax, ell)
     else:
         pen = PenaltySpec(c1, c2, n, dmax, ell)
-    sel = select(losses, pen)
+    sel = select(sol.losses, pen)
     wall = time.perf_counter() - t0
 
     doc = {
@@ -285,7 +298,7 @@ def _segment(scaled: Signal, sigma: np.ndarray, spec: KernelSpec, t0: float, *, 
         "per_d": [
             {
                 "d": d,
-                "loss": float(losses[d - 1]),
+                "loss": float(sol.losses[d - 1]),
                 "change_points": list(segmentations[d - 1].starts),
             }
             for d in range(1, dmax + 1)
@@ -296,13 +309,9 @@ def _segment(scaled: Signal, sigma: np.ndarray, spec: KernelSpec, t0: float, *, 
             "c1": sel.c1,
             "c2": sel.c2,
             "method": "slope-heuristic" if fit is not None else "fixed",
-            "approximate_losses_warning": lowrank_doc is not None,
+            "approximate_losses_warning": sol.diagnostics["lowrank"] is not None,
         },
-        "diagnostics": {
-            "peak_table_bytes": table_bytes,
-            "dp_cells_scanned": cells_scanned,
-            "lowrank": lowrank_doc,
-        },
+        "diagnostics": sol.diagnostics,
         "timing": {"wall_seconds": wall},
     }
     return doc
@@ -364,12 +373,10 @@ def run_bench(
                 print(f"skipping {algo} at n={n}: estimated {est} table bytes over budget", file=sys.stderr)
                 continue
             t0 = time.perf_counter()
-            _, _, bytes_used, _, _ = _solve(sig, spec, algo, d_eff, ell, p_used, None)
+            bytes_used = _solve(sig, spec, algo, d_eff, ell, p_used, None).diagnostics["peak_table_bytes"]
             seconds = time.perf_counter() - t0
-            rows.append(
-                {"algorithm": algo, "n": n, "p": p_used, "seconds": seconds,
-                 "peak_table_bytes": bytes_used}
-            )
+            rows.append({"algorithm": algo, "n": n, "p": p_used, "seconds": seconds,
+                         "peak_table_bytes": bytes_used})
     return rows
 
 
@@ -535,16 +542,8 @@ def _cmd_bench(args) -> int:
         ("--seed", args.seed, args.seed >= 0, "a nonnegative integer"),
         ("--memory-budget", args.memory_budget, args.memory_budget >= 0, "a nonnegative integer"),
     )
-    rows = run_bench(
-        args.grid,
-        args.algorithms,
-        p=args.landmarks,
-        p_rule=args.p_rule,
-        dmax=args.dmax,
-        ell=args.min_seg_len,
-        seed=args.seed,
-        memory_budget_bytes=args.memory_budget,
-    )
+    rows = run_bench(args.grid, args.algorithms, p=args.landmarks, p_rule=args.p_rule, dmax=args.dmax,
+                     ell=args.min_seg_len, seed=args.seed, memory_budget_bytes=args.memory_budget)
     lines = ["algorithm,n,p,seconds,peak_table_bytes"]
     for r in rows:
         lines.append(f"{r['algorithm']},{r['n']},{r['p']},{r['seconds']:.6f},{r['peak_table_bytes']}")

@@ -460,6 +460,27 @@ def test_run_segment_leaves_the_signal_unchanged(tmp_path, algorithm, scale):
     assert {**got, "timing": None} == {**doc, "timing": None}
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_document_key_order(algorithm):
+    # the contract fixes the order of the keys, not only their set
+    doc = run_segment(_bench_signal(200, 3), GaussianKernel(1.0), algorithm=algorithm, dmax=10)
+    assert list(doc) == ["version", "n", "q", "kernel", "algorithm", "dmax", "min_seg_len", "scaling",
+                         "per_d", "selection", "diagnostics", "timing"]
+    assert list(doc["diagnostics"]) == ["peak_table_bytes", "dp_cells_scanned", "lowrank"]
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "lowrank-binseg"])
+def test_solve_returns_one_record_for_both_engines(algorithm):
+    dmax = 6
+    sol = cli._solve(_bench_signal(120, 4), GaussianKernel(1.0), algorithm, dmax, 2, 16, None)
+    assert len(sol.losses) == dmax
+    assert [sol.segmentation(d).d for d in range(1, dmax + 1)] == list(range(1, dmax + 1))
+    diag = sol.diagnostics
+    assert diag["peak_table_bytes"] > 0
+    assert (diag["dp_cells_scanned"] is None) == (algorithm == "lowrank-binseg")
+    assert (diag["lowrank"] is None) == (algorithm == "exact")
+
+
 def test_dmax_one_single_segment(tmp_path):
     x = np.arange(40.0)
     inp = _write(tmp_path / "x.csv", "\n".join(repr(float(v)) for v in x) + "\n")
